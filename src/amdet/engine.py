@@ -11,6 +11,15 @@ A ``Tape`` records ops in execution order (which is already a topological
 order), and ``Tape.backward`` replays it in reverse, accumulating gradients
 onto every ``Tensor`` touched. There is no graph pruning: a tape is built for
 one forward pass, differentiated at most once, and discarded.
+
+Gradients are never written in place. The first gradient reaching a tensor is
+stored as returned (it may be a view of, or the same array as, another
+tensor's gradient: ``add`` hands ``g`` to both inputs), and later ones are
+added out of place. Finiteness is checked once per backward, on the leaves
+(tensors no node produced: parameters, inputs, constants), since a NaN or inf
+made anywhere flows into some leaf's gradient. Only if that check fails is the
+reverse pass replayed with a check after every op, to name the op and input
+that produced the first non-finite gradient.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import DataError, NumericalError
 
 Array = np.ndarray
 
@@ -46,14 +55,14 @@ class Tensor:
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     """Sum ``grad`` down to ``shape``, undoing numpy broadcasting."""
-    # collapse extra leading axes
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    # collapse axes that were broadcast from size 1
-    for ax, n in enumerate(shape):
-        if n == 1 and grad.shape[ax] != 1:
-            grad = grad.sum(axis=ax, keepdims=True)
-    return grad
+    # one reduction over the extra leading axes and the axes broadcast from 1
+    lead = grad.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(
+        lead + ax for ax, n in enumerate(shape)
+        if n == 1 and grad.shape[lead + ax] != 1)
+    if not axes:
+        return grad
+    return grad.sum(axis=axes).reshape(shape)
 
 
 def _name(op: str, *parents: "Tensor") -> str:
@@ -88,6 +97,11 @@ class Tape:
         out = Tensor(a.data @ b.data, _name("matmul", a, b))
 
         def backward(g):
+            if b.data.ndim == 2 and a.data.ndim > 2:
+                # shared weight: one 2-D GEMM over the flattened rows
+                k, n = b.data.shape
+                return (g @ b.data.T,
+                        a.data.reshape(-1, k).T @ g.reshape(-1, n))
             ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
             gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
             return ga, gb
@@ -162,7 +176,7 @@ class Tape:
 
     def relu(self, a: Tensor) -> Tensor:
         mask = a.data > 0
-        out = Tensor(np.where(mask, a.data, 0.0), _name("relu", a))
+        out = Tensor(np.maximum(a.data, 0.0), _name("relu", a))
 
         def backward(g):
             return (g * mask,)
@@ -223,6 +237,10 @@ class Tape:
         if z.ndim != 2 or z.shape[0] != labels.shape[0]:
             raise ValueError(
                 f"logits {z.shape} incompatible with {labels.shape[0]} labels")
+        if labels.size and not (0 <= labels.min() and labels.max() < z.shape[1]):
+            raise DataError(
+                f"labels must lie in [0, {z.shape[1]}), got "
+                f"[{labels.min()}, {labels.max()}]")
         m = z.max(axis=-1, keepdims=True)
         lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=-1))
         picked = z[np.arange(z.shape[0]), labels]
@@ -241,23 +259,45 @@ class Tape:
     # ------------------------------------------------------------- backward
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(tensor) into ``.grad`` of every recorded tensor."""
+        """Accumulate d(loss)/d(tensor) into ``.grad`` of every recorded tensor.
+
+        Gradients are checked for finiteness once, on the leaves, after the
+        pass. If one is not finite, the pass is replayed from cleared
+        gradients with a check after every op, and the ``NumericalError``
+        names the op and input that first produced a non-finite gradient.
+        """
         if loss.data.ndim != 0:
             raise ValueError("backward requires a scalar loss")
+        produced = {id(node.out) for node in self.nodes}
+        leaves = {id(t): t for node in self.nodes for t in node.inputs
+                  if id(t) not in produced}.values()
+        self._reverse(loss, check=False)
+        bad = next((t for t in leaves if t.grad is not None
+                    and not np.all(np.isfinite(t.grad))), None)
+        if bad is None:
+            return
+        for node in self.nodes:
+            node.out.grad = None
+            for t in node.inputs:
+                t.grad = None
+        self._reverse(loss, check=True)
+        # every op's gradient was finite; their sum on some leaf overflowed
+        raise NumericalError(f"non-finite gradient accumulated for '{bad.name}'")
+
+    def _reverse(self, loss: Tensor, check: bool) -> None:
         loss.grad = np.ones_like(loss.data)
         for node in reversed(self.nodes):
             g = node.out.grad
             if g is None:
                 continue
             for inp, gi in zip(node.inputs, node.backward(g)):
-                if not np.all(np.isfinite(gi)):
+                if check and not np.all(np.isfinite(gi)):
                     raise NumericalError(
                         f"non-finite gradient produced by op '{node.op}' "
                         f"for input '{inp.name}'")
-                if inp.grad is None:
-                    inp.grad = gi.reshape(inp.data.shape).copy()
-                else:
-                    inp.grad += gi.reshape(inp.data.shape)
+                gi = gi.reshape(inp.data.shape)
+                # out of place: gi may alias another tensor's gradient
+                inp.grad = gi if inp.grad is None else inp.grad + gi
 
     def matmul_flops(self) -> int:
         """2 * multiply-adds summed over every matmul recorded so far."""

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from amdet.engine import AdamW, OptimizerConfig, Tape, Tensor, schedule_lr
-from amdet.errors import NumericalError
+from amdet.engine import (AdamW, OptimizerConfig, Tape, Tensor, _unbroadcast,
+                          schedule_lr)
+from amdet.errors import DataError, NumericalError
 
 from conftest import central_diff_grad, rel_err
 
@@ -153,6 +154,118 @@ def test_nonfinite_gradient_raises_with_op_name():
         tape.backward(loss)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_nonfinite_gradient_mid_graph_names_producing_op(rng):
+    x = Tensor(rng.normal(size=(2, 3, 4)), name="x")
+    bias = Tensor(rng.normal(size=(4,)), name="bias")
+    w = rng.normal(size=(4, 5))
+    w[1, 2] = np.inf
+    tape = Tape()
+    h = tape.matmul(tape.add(x, bias), Tensor(w, name="w"))
+    loss = tape.sum_all(tape.relu(h))
+    with pytest.raises(NumericalError, match="op 'matmul' for input 'add"):
+        tape.backward(loss)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_overflowing_gradient_sum_raises_with_leaf_name():
+    # each scale's gradient is 1e308; their sum on x is inf
+    x = Tensor(np.array([1e-10]), name="x")
+    tape = Tape()
+    big = tape.scale(x, 1e308)
+    loss = tape.sum_all(tape.add(big, tape.scale(x, 1e308)))
+    with pytest.raises(NumericalError, match="accumulated for 'x'"):
+        tape.backward(loss)
+
+
+def test_aliased_gradient_is_not_modified_by_accumulation(rng):
+    # add hands the same g to a and b; a also feeds the earlier mul, whose
+    # gradient reaches a later in the reverse pass
+    a0, b0, w0 = (rng.normal(size=(3,)) for _ in range(3))
+
+    def build(t, a, b, w):
+        p = t.mul(a, w)
+        out = t.add(t.add(a, b), p)
+        return t.scale(t.sum_all(t.mul(out, out)), 0.5)
+
+    a, b, w = Tensor(a0.copy()), Tensor(b0.copy()), Tensor(w0.copy())
+    tape = Tape()
+    tape.backward(build(tape, a, b, w))
+    out = a0 + b0 + a0 * w0
+    np.testing.assert_allclose(b.grad, out, rtol=1e-12)
+    np.testing.assert_allclose(a.grad, out * (1.0 + w0), rtol=1e-12)
+    for t, arr, i in ((a, a0, 0), (b, b0, 1), (w, w0, 2)):
+        def scalar(x, i=i):
+            args = [Tensor(v) for v in (a0, b0, w0)]
+            args[i] = Tensor(x)
+            return float(build(Tape(), *args).data)
+        assert rel_err(t.grad, central_diff_grad(scalar, arr)) < 1e-6
+
+
+def test_finite_backward_runs_each_closure_once(rng):
+    x = Tensor(rng.normal(size=(2, 3, 4)))
+    w = Tensor(rng.normal(size=(4, 4)))
+    tape = Tape()
+    h = tape.relu(tape.matmul(x, w))
+    loss = tape.sum_all(tape.softmax(tape.add(h, x)))
+    calls = [0] * len(tape.nodes)
+    for i, node in enumerate(tape.nodes):
+        def counted(g, i=i, fn=node.backward):
+            calls[i] += 1
+            return fn(g)
+        node.backward = counted
+    tape.backward(loss)
+    assert calls == [1] * len(tape.nodes)
+
+
+# ---------------------------------------------- reference gradient paths
+
+
+def unbroadcast_loop(grad, shape):
+    """Reference: collapse leading axes, then size-1 axes, one sum at a time."""
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    for ax, n in enumerate(shape):
+        if n == 1 and grad.shape[ax] != 1:
+            grad = grad.sum(axis=ax, keepdims=True)
+    return grad
+
+
+def matmul_backward_batched(a, b, g):
+    """Reference: batched products, then summed down to each input."""
+    ga = unbroadcast_loop(g @ np.swapaxes(b, -1, -2), a.shape)
+    gb = unbroadcast_loop(np.swapaxes(a, -1, -2) @ g, b.shape)
+    return ga, gb
+
+
+@pytest.mark.parametrize("a_shape", [(5, 3, 4), (2, 5, 3, 4)])
+def test_shared_weight_matmul_backward_matches_reference(rng, a_shape):
+    a, b = Tensor(rng.normal(size=a_shape)), Tensor(rng.normal(size=(4, 6)))
+    tape = Tape()
+    out = tape.matmul(a, b)
+    g = rng.normal(size=out.shape)
+    ga, gb = tape.nodes[-1].backward(g)
+    ref_ga, ref_gb = matmul_backward_batched(a.data, b.data, g)
+    assert ga.shape == a_shape and gb.shape == (4, 6)
+    assert rel_err(ga, ref_ga) < 1e-12
+    assert rel_err(gb, ref_gb) < 1e-12
+
+
+@pytest.mark.parametrize("grad_shape,shape", [
+    ((4, 3, 1, 5), (1, 5)),
+    ((4, 3, 1, 5), (3, 1, 1)),
+    ((4, 3, 2, 5), (3, 1, 5)),
+    ((4, 3, 2, 5), (5,)),
+    ((4, 3, 2, 5), (4, 1, 2, 1)),
+    ((3, 5), (3, 5)),
+])
+def test_unbroadcast_matches_reference(rng, grad_shape, shape):
+    grad = rng.normal(size=grad_shape)
+    got = _unbroadcast(grad, shape)
+    assert got.shape == shape
+    assert rel_err(got, unbroadcast_loop(grad, shape)) < 1e-12
+
+
 # ------------------------------------------------------------ cross-entropy
 
 
@@ -195,6 +308,13 @@ def test_cross_entropy_gradient(rng):
     numeric = central_diff_grad(
         lambda x: float(Tape().cross_entropy(Tensor(x), labels).data), z)
     assert rel_err(zt.grad, numeric, floor=1e-6) < 1e-6
+
+
+@pytest.mark.parametrize("label", [3, -1])
+def test_cross_entropy_rejects_out_of_range_label(label):
+    logits = Tensor(np.zeros((2, 3)))
+    with pytest.raises(DataError, match="labels"):
+        Tape().cross_entropy(logits, np.array([0, label]))
 
 
 # ------------------------------------------------------------------- AdamW
