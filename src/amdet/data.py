@@ -280,6 +280,13 @@ class FeatureSet:
     channels: list[str] = field(default_factory=list)
 
     def __post_init__(self):
+        labels = np.asarray(self.labels)
+        if labels.shape != (len(self.values),) or labels.dtype.kind not in "iu":
+            raise DataError(f"labels must be a 1-D integer array of length "
+                            f"{len(self.values)}, got {labels.dtype} of shape "
+                            f"{labels.shape}")
+        if labels.size and labels.min() < 0:
+            raise DataError(f"labels must be non-negative, got {labels.min()}")
         if not self.channels:
             self.channels = [f"ch{i:02d}" for i in range(self.values.shape[-1])]
 
@@ -349,7 +356,6 @@ def read_features(path: str | Path) -> FeatureSet:
         raise DataError(
             f"{payload_path}: payload length mismatch, expected {expected} "
             f"bytes for {len(entries)} samples, got {len(raw)}")
-    values = np.empty((len(entries),) + shape)
     labels = np.empty(len(entries), dtype=np.int64)
     metas = []
     try:
@@ -359,14 +365,14 @@ def read_features(path: str | Path) -> FeatureSet:
                 raise DataError(
                     f"{manifest_path}: sample {i} offset {off} != expected "
                     f"{i * stride}")
-            values[i] = np.frombuffer(raw[off:off + stride],
-                                      dtype="<f4").reshape(shape)
             labels[i] = int(entry["label"])
             metas.append(dict(entry.get("meta", {})))
         bands = [BandSpec(b["name"], b["lo_hz"], b["hi_hz"])
                  for b in manifest.get("bands", [])]
     except (KeyError, TypeError, ValueError) as e:
         raise DataError(f"{manifest_path}: malformed manifest: {e!r}") from e
+    values = np.frombuffer(raw, dtype="<f4").reshape(
+        (len(entries),) + shape).astype(np.float64)
     if not np.all(np.isfinite(values)):
         raise DataError(f"{payload_path}: payload contains non-finite values")
     return FeatureSet(values, labels, metas, bands,

@@ -1,9 +1,12 @@
 """Raw EEG to normalized temporal-spectral-spatial feature tensors.
 
-The pipeline: cut each trial into fixed-length samples made of short frames,
-band-limit every frame with an ideal FFT filter, compute differential entropy
-and mean power per (band, channel, frame), optionally subtract per-band
-baseline entropy, and z-score each sample over all of its elements.
+The pipeline works on one (samples, F, C, L) array per trial: cut the trial
+into fixed-length samples made of short frames, take one rfft per frame, and
+read every band's mean power (PSD) and differential entropy (DE) off it by
+Parseval, as if each frame had been band-limited by an ideal FFT filter.
+Then optionally subtract the trial's per-band baseline DE (computed once per
+trial) and z-score each sample over all of its elements. band_component is
+that ideal filter written out; it is kept as the reference for the values.
 """
 
 from __future__ import annotations
@@ -94,15 +97,6 @@ class RawRecording:
 
 
 @dataclass
-class Segment:
-    """One raw sample: frames x channels x points, plus its trial context."""
-
-    frames: np.ndarray          # (F, C, frame_len)
-    label: int
-    meta: dict = field(default_factory=dict)
-
-
-@dataclass
 class SampleTensor:
     """One training sample of shape (F, 2f, C): DE rows then PSD rows."""
 
@@ -128,16 +122,17 @@ def _frame_counts(sample_rate_hz: float, sample_seconds: float,
 
 
 def segment(rec: RawRecording, sample_seconds: float = 3.0,
-            frame_seconds: float = 0.5) -> list[Segment]:
+            frame_seconds: float = 0.5) -> list[np.ndarray]:
     """Cut every trial into non-overlapping samples of consecutive frames.
 
-    A trailing remainder shorter than one sample is discarded; a trial shorter
+    Returns one (samples, F, C, frame_len) view of ``rec.data`` per trial. A
+    trailing remainder shorter than one sample is discarded; a trial shorter
     than one sample is an error.
     """
     n_frames, frame_len = _frame_counts(rec.sample_rate_hz, sample_seconds,
                                         frame_seconds)
     sample_len = n_frames * frame_len
-    out: list[Segment] = []
+    out = []
     for ti, trial in enumerate(rec.trials):
         length = trial.end - trial.start
         if length < sample_len:
@@ -145,13 +140,10 @@ def segment(rec: RawRecording, sample_seconds: float = 3.0,
                 f"trial {ti} has {length} samples, shorter than one "
                 f"{sample_len}-sample window")
         n_samples = length // sample_len
-        for si in range(n_samples):
-            lo = trial.start + si * sample_len
-            block = rec.data[:, lo:lo + sample_len]
-            frames = block.reshape(len(rec.channels), n_frames, frame_len)
-            frames = np.ascontiguousarray(frames.transpose(1, 0, 2))
-            out.append(Segment(frames, trial.label,
-                               meta={"trial": ti, "segment": si}))
+        block = rec.data[:, trial.start:trial.start + n_samples * sample_len]
+        frames = block.reshape(len(rec.channels), n_samples, n_frames,
+                               frame_len)
+        out.append(frames.transpose(1, 2, 0, 3))
     return out
 
 
@@ -173,25 +165,32 @@ def baseline_frames(rec: RawRecording, trial: Trial,
     return np.ascontiguousarray(frames.transpose(1, 0, 2))
 
 
+def _band_masks(n: int, bands, sample_rate_hz: float) -> np.ndarray:
+    """(bands, rfft bins): bins inside [lo, hi), so DC only when lo == 0."""
+    if n < 8:
+        raise DataError(f"frame of {n} points is too short to band-filter")
+    if not bands:
+        raise DataError("no frequency bands given")
+    for band in bands:
+        if band.hi_hz > sample_rate_hz / 2 + 1e-9:
+            raise DataError(
+                f"band {band.name!r} upper edge {band.hi_hz} Hz exceeds "
+                f"Nyquist {sample_rate_hz / 2} Hz")
+    freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate_hz)
+    return np.stack([(freqs >= b.lo_hz) & (freqs < b.hi_hz) for b in bands])
+
+
 def band_component(frame: np.ndarray, band: BandSpec,
                    sample_rate_hz: float) -> np.ndarray:
     """Time-domain content of ``frame`` inside [lo, hi), one row per channel.
 
-    Ideal filter: real FFT, zero every bin outside the band (DC stays only
-    when lo == 0), inverse FFT. Vectorized over leading axes.
+    Ideal filter: real FFT, zero every bin outside the band, inverse FFT.
+    Vectorized over leading axes. The pipeline itself uses band_features;
+    this is the reference its DE and PSD values are tested against.
     """
     frame = np.asarray(frame, dtype=np.float64)
     n = frame.shape[-1]
-    if n < 8:
-        raise DataError(f"frame of {n} points is too short to band-filter")
-    if band.hi_hz > sample_rate_hz / 2 + 1e-9:
-        raise DataError(
-            f"band {band.name!r} upper edge {band.hi_hz} Hz exceeds Nyquist "
-            f"{sample_rate_hz / 2} Hz")
-    freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate_hz)
-    keep = (freqs >= band.lo_hz) & (freqs < band.hi_hz)
-    if band.lo_hz > 0:
-        keep[0] = False
+    keep = _band_masks(n, [band], sample_rate_hz)[0]
     spectrum = np.fft.rfft(frame, axis=-1)
     spectrum[..., ~keep] = 0.0
     return np.fft.irfft(spectrum, n=n, axis=-1)
@@ -217,62 +216,64 @@ def de(x: np.ndarray) -> float:
     return 0.5 * math.log(2.0 * math.pi * math.e * var)
 
 
-def _band_features(frames: np.ndarray, bands: tuple[BandSpec, ...] | list[BandSpec],
-                   sample_rate_hz: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per (frame, band, channel) DE and PSD for raw frames (F, C, L)."""
-    n_frames, n_channels, _ = frames.shape
-    n_bands = len(bands)
-    de_vals = np.empty((n_frames, n_bands, n_channels))
-    psd_vals = np.empty((n_frames, n_bands, n_channels))
-    for bi, band in enumerate(bands):
-        comp = band_component(frames, band, sample_rate_hz)
-        var = np.maximum(comp.var(axis=-1), DE_VARIANCE_FLOOR)
-        de_vals[:, bi, :] = 0.5 * np.log(2.0 * math.pi * math.e * var)
-        psd_vals[:, bi, :] = np.mean(comp * comp, axis=-1)
-    return de_vals, psd_vals
+def band_features(frames: np.ndarray,
+                  bands: tuple[BandSpec, ...] | list[BandSpec],
+                  sample_rate_hz: float) -> np.ndarray:
+    """DE rows for each band, then PSD rows: (..., C, L) -> (..., 2f, C).
 
-
-def build_tensor(seg: Segment, bands: tuple[BandSpec, ...] | list[BandSpec],
-                 sample_rate_hz: float) -> SampleTensor:
-    """Unnormalized feature tensor (F, 2f, C): DE rows for each band, then PSD."""
-    de_vals, psd_vals = _band_features(seg.frames, bands, sample_rate_hz)
-    values = np.concatenate([de_vals, psd_vals], axis=1)
+    Equals de() and psd() of band_component() per frame and channel, from
+    one rfft per frame. By Parseval a band's power is sum_k w_k |X_k|^2 / L^2
+    over its bins, w = 1 at DC (and at Nyquist for even L), 2 elsewhere. The
+    DC bin carries exactly mean^2, so the band's variance is the same sum
+    without it.
+    """
+    frames = np.asarray(frames, dtype=np.float64)
+    n = frames.shape[-1]
+    masks = _band_masks(n, bands, sample_rate_hz)
+    k = np.arange(masks.shape[1])
+    weights = np.where((k == 0) | (2 * k == n), 1.0, 2.0) / n ** 2
+    # (2f, bins): variance rows (no DC), then power rows
+    band_weights = np.concatenate([masks * (k > 0), masks]) * weights
+    power = np.abs(np.fft.rfft(frames, axis=-1)) ** 2
+    var, pwr = np.split(band_weights @ np.swapaxes(power, -1, -2), 2, axis=-2)
+    de_vals = 0.5 * np.log(2.0 * math.pi * math.e
+                           * np.maximum(var, DE_VARIANCE_FLOOR))
+    values = np.concatenate([de_vals, pwr], axis=-2)
     if not np.all(np.isfinite(values)):
         raise DataError("non-finite feature values")
-    return SampleTensor(values, seg.label, dict(seg.meta))
+    return values
 
 
-def baseline_subtract(tensor: SampleTensor, baseline: np.ndarray,
+def baseline_subtract(values: np.ndarray, baseline: np.ndarray,
                       bands: tuple[BandSpec, ...] | list[BandSpec],
                       sample_rate_hz: float,
-                      include_psd: bool = False) -> SampleTensor:
+                      include_psd: bool = False) -> np.ndarray:
     """Subtract the baseline's mean per-(band, channel) DE from the DE rows.
 
-    ``baseline`` is raw frames (F_b, C, frame_len). PSD rows are left alone
-    unless include_psd is set.
+    ``values`` is (..., F, 2f, C) from band_features, e.g. every sample of
+    one trial; ``baseline`` is raw frames (F_b, C, frame_len), featurized
+    once for all of them. PSD rows are left alone unless include_psd is set.
     """
-    n_bands = len(bands)
     if baseline.ndim != 3 or baseline.shape[0] < 1:
         raise DataError("baseline must be (frames, channels, points) with >= 1 frame")
-    if baseline.shape[1] != tensor.values.shape[2]:
+    if baseline.shape[1] != values.shape[-1]:
         raise DataError(
-            f"baseline has {baseline.shape[1]} channels, tensor has "
-            f"{tensor.values.shape[2]}")
-    de_vals, psd_vals = _band_features(baseline, bands, sample_rate_hz)
-    values = tensor.values.copy()
-    values[:, :n_bands, :] -= de_vals.mean(axis=0)
-    if include_psd:
-        values[:, n_bands:, :] -= psd_vals.mean(axis=0)
-    return SampleTensor(values, tensor.label, dict(tensor.meta))
+            f"baseline has {baseline.shape[1]} channels, values have "
+            f"{values.shape[-1]}")
+    shift = band_features(baseline, bands, sample_rate_hz).mean(axis=0)
+    if not include_psd:
+        shift[len(bands):] = 0.0
+    return values - shift
 
 
-def zscore(tensor: SampleTensor) -> SampleTensor:
-    """Normalize one sample to zero mean / unit std over all elements."""
-    v = tensor.values
-    if v.size <= 1:
-        raise DataError("zscore needs more than one element")
-    std = max(float(v.std()), ZSCORE_STD_FLOOR)
-    return SampleTensor((v - v.mean()) / std, tensor.label, dict(tensor.meta))
+def zscore(values: np.ndarray) -> np.ndarray:
+    """Normalize each (F, 2f, C) sample to zero mean / unit std over all of
+    its elements; takes one sample or a stack (N, F, 2f, C)."""
+    axes = (-3, -2, -1)
+    if values.ndim < 3 or math.prod(values.shape[-3:]) <= 1:
+        raise DataError("zscore needs samples of more than one element")
+    std = np.maximum(values.std(axis=axes, keepdims=True), ZSCORE_STD_FLOOR)
+    return (values - values.mean(axis=axes, keepdims=True)) / std
 
 
 def binarize_labels(rec: RawRecording, threshold: float = 5.0) -> RawRecording:
@@ -293,30 +294,22 @@ def extract_features(rec: RawRecording,
                      subtract_baseline: bool = True,
                      baseline_psd: bool = False,
                      normalize: bool = True) -> list[SampleTensor]:
-    """Full preprocessing for one recording.
+    """Full preprocessing for one recording, one trial array at a time.
 
     Baseline subtraction applies only to trials that carry a baseline range
     (and only when subtract_baseline is set).
     """
-    for band in bands:
-        if band.hi_hz > rec.sample_rate_hz / 2 + 1e-9:
-            raise DataError(
-                f"band {band.name!r} exceeds Nyquist for "
-                f"{rec.sample_rate_hz} Hz recording")
-    segments = segment(rec, sample_seconds, frame_seconds)
-    base_cache: dict[int, np.ndarray] = {}
     out = []
-    for seg in segments:
-        tensor = build_tensor(seg, bands, rec.sample_rate_hz)
-        trial = rec.trials[seg.meta["trial"]]
+    fs = rec.sample_rate_hz
+    for ti, (trial, frames) in enumerate(
+            zip(rec.trials, segment(rec, sample_seconds, frame_seconds))):
+        values = band_features(frames, bands, fs)
         if subtract_baseline and trial.has_baseline:
-            ti = seg.meta["trial"]
-            if ti not in base_cache:
-                base_cache[ti] = baseline_frames(rec, trial, frame_seconds)
-            tensor = baseline_subtract(tensor, base_cache[ti], bands,
-                                       rec.sample_rate_hz,
-                                       include_psd=baseline_psd)
+            values = baseline_subtract(
+                values, baseline_frames(rec, trial, frame_seconds), bands, fs,
+                include_psd=baseline_psd)
         if normalize:
-            tensor = zscore(tensor)
-        out.append(tensor)
+            values = zscore(values)
+        out += [SampleTensor(v, trial.label, {"trial": ti, "segment": si})
+                for si, v in enumerate(values)]
     return out

@@ -20,10 +20,11 @@ from .checkpoint import save_checkpoint
 from .data import FeatureSet
 from .engine import AdamW, OptimizerConfig, Tape, schedule_lr
 from .errors import DataError, NumericalError
-from .model import (ModelConfig, forward, forward_flops, init_params,
-                    param_count, predict, wrap_params)
+from .model import (ABLATABLE_BLOCKS, ModelConfig, forward, forward_flops,
+                    init_params, param_count, predict, wrap_params)
 
 SPLIT_MODES = ("segment", "trial")
+K_GRID_STRIDE = 4
 
 
 @dataclass
@@ -104,7 +105,6 @@ class RunReport:
     seed: int
     ablate: str | None = None
     mlp_ratio: int = 0
-    notes: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -186,11 +186,16 @@ def evaluate(params: dict[str, np.ndarray], model_cfg: ModelConfig,
              x: np.ndarray, y: np.ndarray, remove: str | None = None
              ) -> tuple[float, np.ndarray]:
     """(accuracy, confusion matrix with rows = true class)."""
-    preds = predict(params, model_cfg, x, remove)
     k = model_cfg.classes
+    y = np.asarray(y)
+    if y.shape != (len(x),):
+        raise DataError(f"{y.shape} labels for {len(x)} samples")
+    if y.size and (y.min() < 0 or y.max() >= k):
+        raise DataError(f"labels must lie in [0, {k}), got values from "
+                        f"{y.min()} to {y.max()}")
+    preds = predict(params, model_cfg, x, remove)
     confusion = np.zeros((k, k), dtype=np.int64)
-    for truth, pred in zip(y, preds):
-        confusion[int(truth), int(pred)] += 1
+    np.add.at(confusion, (y.astype(np.intp), preds), 1)
     accuracy = float(np.trace(confusion)) / max(len(y), 1)
     return accuracy, confusion
 
@@ -212,9 +217,12 @@ def train(config: ExperimentConfig, features: FeatureSet,
     """Cross-validated training per the experiment config.
 
     Writes report.json, loss.csv, and one checkpoint per fold into
-    config.out_dir unless save_artifacts is off.
+    config.out_dir unless save_artifacts is off. remove (default
+    config.ablate) names a block of model.ABLATABLE_BLOCKS to drop.
     """
     remove = remove if remove is not None else config.ablate
+    if remove is not None and remove not in ABLATABLE_BLOCKS:
+        raise DataError(f"cannot remove unknown block {remove!r}")
     started = time.perf_counter()
     x, y = features.values, features.labels
     splits = kfold_split(x.shape[0], config.folds, config.split_mode,
@@ -282,24 +290,14 @@ def write_report(out_dir: str | Path, report: RunReport) -> None:
                 writer.writerow([fold, epoch, f"{loss:.10g}"])
 
 
-def ablate(config: ExperimentConfig, features: FeatureSet, remove: str,
-           save_artifacts: bool = True) -> RunReport:
-    """Train with one block removed; report schema identical to train's."""
-    if remove not in ("spectral", "spatial", "temporal"):
-        raise DataError(f"cannot remove unknown block {remove!r}")
-    return train(config, features, remove=remove,
-                 save_artifacts=save_artifacts)
-
-
 def count_params_flops(model_cfg: ModelConfig) -> tuple[int, int]:
     """(exact parameter count, 2 x matmul multiply-adds per forward pass)."""
     return param_count(init_params(model_cfg)), forward_flops(model_cfg)
 
 
-def default_k_grid(channels: int, stride: int = 4) -> list[int]:
-    """Channel counts from C downward in fixed strides, stopping at >= 2."""
-    ks = list(range(channels, 1, -stride))
-    return ks
+def default_k_grid(channels: int) -> list[int]:
+    """Channel counts from C downward in steps of K_GRID_STRIDE, down to 2."""
+    return list(range(channels, 1, -K_GRID_STRIDE))
 
 
 def _heads_for(k: int, heads: int) -> int:

@@ -17,11 +17,10 @@ from amdet.checkpoint import load_checkpoint, save_checkpoint
 from amdet.data import FeatureSet, default_synth_spec, synth_generate
 from amdet.engine import OptimizerConfig, Tape
 from amdet.errors import DataError
-from amdet.features import (BandSpec, DEAP_BANDS, SampleTensor,
-                            band_component, de, extract_features, psd,
-                            zscore)
-from amdet.harness import (ExperimentConfig, ablate, count_params_flops,
-                           evaluate, fit, train)
+from amdet.features import (BandSpec, DEAP_BANDS, band_component, de,
+                            extract_features, psd, zscore)
+from amdet.harness import (ExperimentConfig, count_params_flops, evaluate,
+                           fit, train)
 from amdet.model import (ModelConfig, forward, init_params, wrap_params)
 
 from test_gradcheck import TOY as GRAD_TOY, max_rel_error_per_tensor
@@ -105,8 +104,8 @@ def test_criterion_3_shape_and_invariant_suite(tmp_path):
         for a in aux["spectral_attention"] + aux["spatial_attention"]
         + [aux["temporal_weights"]])
 
-    z = zscore(SampleTensor(rng.normal(size=(6, 8, 8)) * 3 + 2, 0))
-    z_ok = abs(z.values.mean()) < 1e-5 and abs(z.values.std() - 1) < 1e-5
+    z = zscore(rng.normal(size=(6, 8, 8)) * 3 + 2)
+    z_ok = abs(z.mean()) < 1e-5 and abs(z.std() - 1) < 1e-5
 
     cfg_long = ModelConfig(channels=8, bands=4, frames=12, classes=3, seed=9)
     share_ok = set(init_params(cfg_long)) == set(params)
@@ -227,8 +226,8 @@ def test_criterion_6_ablation_ordering():
         cfg = experiment(seed=seed, folds=2, epochs=20)
         accs = {"full": train(cfg, fs, save_artifacts=False).mean_accuracy}
         for remove in ("spectral", "spatial", "temporal"):
-            accs[remove] = ablate(cfg, fs, remove,
-                                  save_artifacts=False).mean_accuracy
+            accs[remove] = train(cfg, fs, remove=remove,
+                                 save_artifacts=False).mean_accuracy
         drops = {k: accs["full"] - v for k, v in accs.items() if k != "full"}
         largest = max(drops, key=drops.get)
         spectral_largest += largest == "spectral"

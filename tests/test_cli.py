@@ -129,6 +129,18 @@ def test_data_error_exit_code_2(workdir, capsys):
                  "--config", str(bad)]) == 2
 
 
+def test_eval_negative_label_exit_code_2(pipeline, capsys):
+    import shutil
+    for ext in (".json", ".f32"):
+        shutil.copy(pipeline / f"feat{ext}", pipeline / f"neg{ext}")
+    manifest = json.loads((pipeline / "neg.json").read_text())
+    manifest["samples"][0]["label"] = -1
+    (pipeline / "neg.json").write_text(json.dumps(manifest))
+    assert main(["eval", "--checkpoint", str(pipeline / "run" / "fold0.amdw"),
+                 "--features", str(pipeline / "neg")]) == 2
+    assert "non-negative" in capsys.readouterr().err
+
+
 def test_config_file_with_set_override(workdir, capsys):
     config = workdir / "synth.json"
     config.write_text(json.dumps({"trials_per_class": 2, "channels": 4,

@@ -64,12 +64,11 @@ def test_synth_planted_band_dominates_alpha_de():
     rec = synth_generate(spec)
     alpha = BandSpec("alpha", 8.0, 14.0)
     wins = total = 0
-    for ti, trial in enumerate(rec.trials):
+    for trial, samples in zip(rec.trials, segment(rec, 3.0, 0.5)):
         if trial.label != 0:
             continue
-        segs = segment(rec, 3.0, 0.5)
-        for seg in [s for s in segs if s.meta["trial"] == ti]:
-            for frame in seg.frames:         # (C, L)
+        for frames in samples:               # (F, C, L)
+            for frame in frames:             # (C, L)
                 comp = band_component(frame, alpha, 128.0)
                 des = [de(comp[c]) for c in range(8)]
                 planted_mean = np.mean(des[:3])
@@ -284,6 +283,37 @@ def test_features_seedlike_channel_count(tmp_path):
     fs = read_features(tmp_path / "feat")
     assert fs.values.shape == (4, 6, 10, 62)
     assert len(fs.channels) == 62
+
+
+def test_features_offset_off_stride_names_sample(tmp_path):
+    samples, bands, channels = feature_fixture()
+    write_features(tmp_path / "feat", samples, bands, channels)
+    manifest = json.loads((tmp_path / "feat.json").read_text())
+    manifest["samples"][2]["offset"] += 4
+    (tmp_path / "feat.json").write_text(json.dumps(manifest))
+    with pytest.raises(DataError, match=r"sample 2 offset \d+ != expected"):
+        read_features(tmp_path / "feat")
+
+
+def test_features_negative_label_rejected(tmp_path):
+    samples, bands, channels = feature_fixture()
+    write_features(tmp_path / "feat", samples, bands, channels)
+    manifest = json.loads((tmp_path / "feat.json").read_text())
+    manifest["samples"][1]["label"] = -1
+    (tmp_path / "feat.json").write_text(json.dumps(manifest))
+    with pytest.raises(DataError, match="non-negative"):
+        read_features(tmp_path / "feat")
+
+
+@pytest.mark.parametrize("labels", [
+    np.array([0, -1, 1, 0]),                  # negative
+    np.array([0, 1, 1]),                      # wrong length
+    np.array([[0, 1], [1, 0]]),               # not 1-D
+    np.array([0.0, 1.0, 1.0, 0.0]),           # not integers
+])
+def test_featureset_rejects_bad_labels(labels):
+    with pytest.raises(DataError, match="labels"):
+        FeatureSet(np.zeros((4, 6, 4, 3)), labels, [{}] * 4, [])
 
 
 def test_featureset_helpers():

@@ -8,11 +8,12 @@ import pytest
 from amdet.data import FeatureSet, default_synth_spec, synth_generate
 from amdet.engine import OptimizerConfig
 from amdet.errors import DataError, NumericalError
-from amdet.harness import (ExperimentConfig, ablate, count_params_flops,
+from amdet import harness
+from amdet.harness import (ExperimentConfig, count_params_flops,
                            default_k_grid, evaluate, fit, kfold_split,
                            reduce_channels_sweep, train)
 from amdet.features import DEAP_BANDS, extract_features
-from amdet.model import ModelConfig
+from amdet.model import ModelConfig, init_params, predict
 
 
 def dummy_metas(n_trials, per_trial):
@@ -131,6 +132,7 @@ def test_report_artifacts_written(run_once):
     on_disk = json.loads((out / "report.json").read_text())
     assert on_disk["mean_accuracy"] == report.mean_accuracy
     assert on_disk["mlp_ratio"] == 32
+    assert "notes" not in on_disk
     lines = (out / "loss.csv").read_text().strip().splitlines()
     assert lines[0] == "fold,epoch,loss"
     assert len(lines) == 1 + config.folds * config.epochs
@@ -166,12 +168,44 @@ def test_evaluate_confusion_rows():
     assert acc == pytest.approx(np.trace(confusion) / fs.n_samples, abs=1e-12)
 
 
+def untrained_model(classes=3):
+    cfg = ModelConfig(channels=4, bands=2, frames=6, classes=classes, seed=1)
+    return init_params(cfg), cfg
+
+
+def test_evaluate_confusion_matches_per_sample_count(rng):
+    params, cfg = untrained_model()
+    x = rng.normal(size=(40, 6, 4, 4))
+    y = rng.integers(0, 3, size=40)
+    acc, confusion = evaluate(params, cfg, x, y)
+    expected = np.zeros((3, 3), dtype=np.int64)
+    for truth, pred in zip(y, predict(params, cfg, x)):
+        expected[truth, pred] += 1
+    np.testing.assert_array_equal(confusion, expected)
+    assert acc == np.trace(expected) / 40
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_evaluate_rejects_label_out_of_range(rng, bad):
+    params, cfg = untrained_model()
+    y = np.array([0, 1, bad, 2])
+    with pytest.raises(DataError, match=r"\[0, 3\)"):
+        evaluate(params, cfg, rng.normal(size=(4, 6, 4, 4)), y)
+
+
+def test_evaluate_rejects_label_count_mismatch(rng):
+    params, cfg = untrained_model()
+    with pytest.raises(DataError):
+        evaluate(params, cfg, rng.normal(size=(4, 6, 4, 4)), np.zeros(3, int))
+
+
 # ----------------------------------------------------------------- ablate
 
 
 def test_ablate_report_schema_matches_train(run_once):
     fs, _, report, _ = run_once
-    ablated = ablate(tiny_config(), fs, "temporal", save_artifacts=False)
+    ablated = train(tiny_config(), fs, remove="temporal",
+                    save_artifacts=False)
     assert set(ablated.to_dict()) == set(report.to_dict())
     assert ablated.ablate == "temporal"
 
@@ -179,7 +213,16 @@ def test_ablate_report_schema_matches_train(run_once):
 def test_ablate_rejects_unknown_block():
     fs = tiny_featureset()
     with pytest.raises(DataError):
-        ablate(tiny_config(), fs, "classifier", save_artifacts=False)
+        train(tiny_config(), fs, remove="classifier", save_artifacts=False)
+
+
+def test_unknown_ablate_in_config_rejected_before_training(monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fold trained before the block was checked")
+    monkeypatch.setattr(harness, "fit", no_fit)
+    config = ExperimentConfig.from_dict({"folds": 2, "ablate": "classifier"})
+    with pytest.raises(DataError, match="classifier"):
+        train(config, tiny_featureset(), save_artifacts=False)
 
 
 # ------------------------------------------------------------------ count
