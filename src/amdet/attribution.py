@@ -1,16 +1,16 @@
 """Gradient-weighted channel importance, ranking, and channel selection.
 
-For a chosen class logit, per-channel weights are the gradient of that logit
-w.r.t. a target activation tensor, averaged over the feature axis; the raw
-relevance map is the ReLU of weight times mean activation, averaged over
-frames into one score per channel.
+For each sample's class logit, per-channel weights are the gradient of that
+logit w.r.t. the normalized input tensor, averaged over the feature axis; the
+raw relevance map is the ReLU of weight times mean activation, averaged over
+frames into one score per channel. The input is the target layer because its
+channel axis is explicit and has not yet been mixed by any channel-to-channel
+projection.
 
-Two target layers are supported. "input" (default) attributes against the
-normalized feature tensor, where the channel axis is explicit and has not yet
-been mixed by any channel-to-channel projection. "spatial" attributes against
-the spatial-block output; its channel tokens sit downstream of dense
-channel-mixing maps, which empirically smears planted-channel evidence across
-tokens at small scale, so it is kept only for comparison runs.
+Scores come in batches: no op of the model mixes samples (layer norm and
+softmax normalize within a row, matmuls act row by row), so one backward pass
+of the sum of every sample's own class logit gives each sample its own input
+gradient. `rank_channels` runs one such pass per `INFERENCE_BATCH` samples.
 """
 
 from __future__ import annotations
@@ -22,11 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import Tape
+from .engine import Tape, Tensor
 from .errors import DataError, NumericalError
-from .model import ModelConfig, forward, wrap_params
-
-TARGET_LAYERS = ("input", "spatial")
+from .model import INFERENCE_BATCH, ModelConfig, forward, wrap_params
 
 
 @dataclass
@@ -42,40 +40,31 @@ class ChannelReport:
 
 
 def grad_cam_channels(params: dict[str, np.ndarray], cfg: ModelConfig,
-                      sample: np.ndarray, target_class: int,
-                      target_layer: str = "input",
-                      weight_by_frame_attention: bool = False) -> np.ndarray:
-    """Per-channel relevance of one sample for one class logit."""
-    if not (0 <= target_class < cfg.classes):
-        raise DataError(f"target class {target_class} out of range")
-    if target_layer not in TARGET_LAYERS:
-        raise DataError(f"unknown attribution target layer {target_layer!r}")
+                      samples: np.ndarray, target_classes: np.ndarray
+                      ) -> np.ndarray:
+    """Per-channel relevance (B, C) of samples (B, F, 2f, C), each for the
+    logit of its own class in target_classes (B,), from one backward pass."""
+    classes = np.asarray(target_classes, dtype=np.int64)
+    if classes.shape != (len(samples),):
+        raise DataError(f"{classes.shape} target classes for "
+                        f"{len(samples)} samples")
+    if classes.size and (classes.min() < 0 or classes.max() >= cfg.classes):
+        raise DataError(f"target classes must lie in [0, {cfg.classes}), got "
+                        f"values from {classes.min()} to {classes.max()}")
     tape = Tape()
-    logits, aux = forward(tape, wrap_params(params), cfg, sample)
-    target = tape.reshape(tape.slice_last(logits, target_class,
-                                          target_class + 1), ())
-    tape.backward(target)
-    chosen = aux["input"] if target_layer == "input" else aux["spatial_out"]
-    act = chosen.data[0]
-    grad = chosen.grad[0]
-    if target_layer == "input":
-        act = np.swapaxes(act, -1, -2)       # (F, 2f, C) -> (F, C, 2f)
-        grad = np.swapaxes(grad, -1, -2)
+    logits, aux = forward(tape, wrap_params(params), cfg, samples)
+    onehot = Tensor(np.eye(cfg.classes)[classes], name="onehot")
+    tape.backward(tape.sum_all(tape.mul(logits, onehot)))
+    act, grad = aux["input"].data, aux["input"].grad
     if not (np.all(np.isfinite(act)) and np.all(np.isfinite(grad))):
         raise NumericalError("non-finite activations or gradients")
-    channel_weight = grad.mean(axis=-1)      # (F, C)
-    channel_act = act.mean(axis=-1)
-    relevance = np.maximum(channel_weight * channel_act, 0.0)
-    if weight_by_frame_attention:
-        frame_w = aux["temporal_weights"].data[0]        # (F,)
-        return (relevance * frame_w[:, None]).sum(axis=0)
-    return relevance.mean(axis=0)
+    # feature-axis means: (B, F, 2f, C) -> (B, F, C)
+    relevance = np.maximum(grad.mean(axis=-2) * act.mean(axis=-2), 0.0)
+    return relevance.mean(axis=1)
 
 
 def rank_channels(params: dict[str, np.ndarray], cfg: ModelConfig,
-                  values: np.ndarray, labels: np.ndarray,
-                  target_layer: str = "input",
-                  weight_by_frame_attention: bool = False) -> ChannelReport:
+                  values: np.ndarray, labels: np.ndarray) -> ChannelReport:
     """Mean per-channel score over samples, each conditioned on its true class."""
     values = np.asarray(values, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
@@ -84,18 +73,16 @@ def rank_channels(params: dict[str, np.ndarray], cfg: ModelConfig,
     if values.shape[0] != labels.shape[0]:
         raise DataError("values and labels disagree on sample count")
     total = np.zeros(cfg.channels)
-    for i in range(values.shape[0]):
-        total += grad_cam_channels(params, cfg, values[i], int(labels[i]),
-                                   target_layer, weight_by_frame_attention)
+    for lo in range(0, values.shape[0], INFERENCE_BATCH):
+        hi = lo + INFERENCE_BATCH
+        total += grad_cam_channels(params, cfg, values[lo:hi],
+                                   labels[lo:hi]).sum(axis=0)
     scores = total / values.shape[0]
     # stable argsort on negated scores: ties fall back to channel index order
     ranking = [int(i) for i in np.argsort(-scores, kind="stable")]
     return ChannelReport(scores, ranking, provenance={
         "n_samples": int(values.shape[0]),
         "conditioning": "true_class",
-        "target_layer": target_layer,
-        "frame_aggregation": ("temporal_attention"
-                              if weight_by_frame_attention else "mean"),
     })
 
 

@@ -9,13 +9,14 @@ payload. Offsets are byte positions within the payload. Weights are stored as
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
-from .model import ModelConfig
+from .model import ModelConfig, init_params
 
 MAGIC = b"AMDW"
 VERSION = 1
@@ -47,30 +48,64 @@ def save_checkpoint(path: str | Path, params: dict[str, np.ndarray],
 
 def load_checkpoint(path: str | Path
                     ) -> tuple[dict[str, np.ndarray], ModelConfig, dict]:
-    """Returns (params as float64 arrays, config, extra header fields)."""
+    """Returns (params as float64 arrays, config, extra header fields).
+
+    The parameter index must name exactly the parameters, with the shapes,
+    that `init_params(config)` makes, at non-negative integer offsets inside
+    the payload, and every weight must be finite.
+    """
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
         raise DataError(f"{path}: bad magic, not a checkpoint file")
+    if len(raw) < 8:
+        raise DataError(f"{path}: {len(raw)} bytes, too short for a header")
     (header_len,) = struct.unpack("<I", raw[4:8])
+    if 8 + header_len > len(raw):
+        raise DataError(f"{path}: header length {header_len} exceeds the "
+                        f"{len(raw)}-byte file")
     try:
         header = json.loads(raw[8:8 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DataError(f"{path}: corrupt checkpoint header: {e}") from e
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: checkpoint header is not a JSON object")
     if header.get("version") != VERSION:
         raise DataError(
             f"{path}: unsupported checkpoint version {header.get('version')!r}")
+    config = ModelConfig.from_dict(header.get("config"))
+    index = header.get("param_index")
+    if not isinstance(index, list):
+        raise DataError(f"{path}: checkpoint header has no param_index list")
+    expected = {k: v.shape for k, v in init_params(config).items()}
     payload = raw[8 + header_len:]
     params: dict[str, np.ndarray] = {}
-    for entry in header["param_index"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        lo = entry["offset"]
-        hi = lo + 4 * count
+    for entry in index:
+        if not isinstance(entry, dict):
+            raise DataError(f"{path}: param_index entry {entry!r} is not an "
+                            "object")
+        name, lo = entry.get("name"), entry.get("offset")
+        if not isinstance(name, str) or name not in expected or name in params:
+            raise DataError(f"{path}: unexpected or repeated parameter "
+                            f"{name!r}")
+        shape = expected[name]
+        if entry.get("shape") != list(shape):
+            raise DataError(f"{path}: parameter {name!r} has shape "
+                            f"{entry.get('shape')!r}, the config needs "
+                            f"{list(shape)}")
+        if isinstance(lo, bool) or not isinstance(lo, int) or lo < 0:
+            raise DataError(f"{path}: parameter {name!r} has offset {lo!r}, "
+                            "not a non-negative integer")
+        hi = lo + 4 * math.prod(shape)
         if hi > len(payload):
             raise DataError(
                 f"{path}: payload length {len(payload)} bytes, parameter "
-                f"{entry['name']!r} needs {hi}")
+                f"{name!r} needs {hi}")
         arr = np.frombuffer(payload[lo:hi], dtype="<f4").reshape(shape)
-        params[entry["name"]] = arr.astype(np.float64)
-    config = ModelConfig.from_dict(header["config"])
+        if not np.all(np.isfinite(arr)):
+            raise DataError(f"{path}: parameter {name!r} has non-finite "
+                            "weights")
+        params[name] = arr.astype(np.float64)
+    missing = sorted(expected.keys() - params.keys())
+    if missing:
+        raise DataError(f"{path}: checkpoint lacks parameters {missing}")
     return params, config, header.get("extra", {})

@@ -3,7 +3,8 @@
 Subcommands: synth, preprocess, train, eval, ablate, attribute,
 reduce-channels, count. Each accepts --config <json file> plus repeated
 --set key=value overrides (dotted keys reach into nested fields; values are
-parsed as JSON when possible, else kept as strings).
+parsed as JSON when possible, else kept as strings); attribute has no config
+keys and rejects any.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 """
@@ -45,6 +46,8 @@ def _load_config(args) -> dict:
             config = json.loads(path.read_text())
         except json.JSONDecodeError as e:
             raise DataError(f"{path}: invalid JSON: {e}") from e
+        if not isinstance(config, dict):
+            raise DataError(f"{path}: config must be a JSON object")
     for item in getattr(args, "set", None) or []:
         if "=" not in item:
             raise UsageError(f"--set expects key=value, got {item!r}")
@@ -200,15 +203,14 @@ def cmd_eval(args) -> int:
 
 def cmd_attribute(args) -> int:
     config = _load_config(args)
+    if config:
+        raise DataError(f"attribute takes no config keys, got {sorted(config)}")
     params, model_cfg, extra = load_checkpoint(args.checkpoint)
     if extra.get("ablate"):
         raise DataError("attribution requires a full (non-ablated) model")
     fs = data.read_features(args.features)
-    report = attribution.rank_channels(
-        params, model_cfg, fs.values, fs.labels,
-        target_layer=config.get("target_layer", "input"),
-        weight_by_frame_attention=config.get("weight_by_frame_attention",
-                                             False))
+    report = attribution.rank_channels(params, model_cfg, fs.values,
+                                       fs.labels)
     if args.topk is None:
         top_ks = [min(8, len(fs.channels))]
     else:

@@ -24,14 +24,16 @@ that produced the first non-finite gradient.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, check_numbers
 
 Array = np.ndarray
+LR_SCHEDULES = ("constant", "cosine")
 
 
 class Tensor:
@@ -320,7 +322,21 @@ class OptimizerConfig:
     eps: float = 1e-8
     batch_size: int = 16
     grad_clip: float | None = None        # max global grad norm, off by default
-    lr_schedule: str = "constant"         # "constant" or "cosine"
+    lr_schedule: str = "constant"         # one of LR_SCHEDULES
+
+    def __post_init__(self):
+        check_numbers("optimizer", numbers.Real, lr=self.lr,
+                      weight_decay=self.weight_decay, beta1=self.beta1,
+                      beta2=self.beta2, eps=self.eps)
+        check_numbers("optimizer", numbers.Integral, batch_size=self.batch_size)
+        if self.grad_clip is not None:
+            check_numbers("optimizer", numbers.Real, grad_clip=self.grad_clip)
+        if self.batch_size < 1:
+            raise DataError(f"optimizer: batch_size must be >= 1, got "
+                            f"{self.batch_size}")
+        if self.lr_schedule not in LR_SCHEDULES:
+            raise DataError(f"optimizer: lr_schedule must be one of "
+                            f"{LR_SCHEDULES}, got {self.lr_schedule!r}")
 
 
 class AdamW:

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: UsageError -> 1, DataError -> 2,
-NumericalError -> 3. Library code raises them directly.
+NumericalError -> 3. Library code raises them directly. `check_numbers` is
+the field-type check the config classes share.
 """
 
 
@@ -19,3 +20,12 @@ class DataError(AmdetError):
 
 class NumericalError(AmdetError):
     """Non-finite values where finite numbers are required (NaN loss, inf gradient)."""
+
+
+def check_numbers(owner: str, kind: type, **values) -> None:
+    """Raise DataError unless every value is an instance of kind
+    (numbers.Integral or numbers.Real); a bool never counts as a number."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise DataError(f"{owner}: {name} must be "
+                            f"{kind.__name__.lower()}, got {value!r}")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import time
 from dataclasses import dataclass, field, fields, asdict
 from math import gcd
@@ -19,7 +20,7 @@ import numpy as np
 from .checkpoint import save_checkpoint
 from .data import FeatureSet
 from .engine import AdamW, OptimizerConfig, Tape, schedule_lr
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, check_numbers
 from .model import (ABLATABLE_BLOCKS, ModelConfig, forward, forward_flops,
                     init_params, param_count, predict, wrap_params)
 
@@ -40,6 +41,13 @@ class ExperimentConfig:
     model: dict = field(default_factory=dict)   # ModelConfig field overrides
 
     def __post_init__(self):
+        check_numbers("config", numbers.Integral, seed=self.seed,
+                      folds=self.folds, epochs=self.epochs)
+        if not isinstance(self.optimizer, OptimizerConfig):
+            raise DataError(f"optimizer must be a mapping, got "
+                            f"{self.optimizer!r}")
+        if not isinstance(self.model, dict):
+            raise DataError(f"model must be a mapping, got {self.model!r}")
         if self.folds < 2:
             raise DataError("folds must be >= 2")
         if self.epochs < 1:
@@ -81,10 +89,7 @@ class ExperimentConfig:
         missing = {"channels", "bands", "frames", "classes"} - resolved.keys()
         if missing:
             raise DataError(f"model config missing fields: {sorted(missing)}")
-        try:
-            return ModelConfig(**resolved)
-        except TypeError as e:
-            raise DataError(f"bad model config: {e}") from e
+        return ModelConfig.from_dict(resolved)
 
 
 @dataclass

@@ -19,15 +19,19 @@ frame axis is just a batch axis).
 from __future__ import annotations
 
 import math
+import numbers
 import zlib
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .engine import Tape, Tensor
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, check_numbers
 
 ABLATABLE_BLOCKS = ("spectral", "spatial", "temporal")
+# samples per forward when not training (predict, Grad-CAM): the default
+# training batch, so inference needs no more memory than a training step
+INFERENCE_BATCH = 16
 
 
 @dataclass(frozen=True)
@@ -44,6 +48,7 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_numbers("model config", numbers.Integral, **asdict(self))
         if min(self.channels, self.bands, self.frames) < 1 or self.classes < 2:
             raise DataError("model dimensions must be positive (classes >= 2)")
         if self.spectral_layers < 1 or self.spatial_layers < 1:
@@ -72,7 +77,10 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
+        try:
+            return cls(**d)
+        except TypeError as e:          # not a mapping, unknown or missing keys
+            raise DataError(f"bad model config: {e}") from e
 
 
 def _rng_for(seed: int, name: str) -> np.random.Generator:
@@ -257,8 +265,8 @@ def forward(tape: Tape, p: dict[str, Tensor], cfg: ModelConfig,
     spectral encoder and its positional map, "spatial" keeps only the
     transpose, "temporal" pools frames uniformly.
 
-    aux carries the spatial-block output tensor (attribution reads its
-    gradient) and every attention matrix for inspection.
+    aux carries the input (attribution reads its gradient), the spatial-block
+    output, the frame weights and every attention matrix for inspection.
     """
     if remove is not None and remove not in ABLATABLE_BLOCKS:
         raise DataError(f"unknown block to remove: {remove!r}")
@@ -285,12 +293,12 @@ def forward(tape: Tape, p: dict[str, Tensor], cfg: ModelConfig,
 
 
 def predict(params: dict[str, np.ndarray], cfg: ModelConfig, x: np.ndarray,
-            remove: str | None = None, batch_size: int = 256) -> np.ndarray:
-    """Class predictions for samples (N, F, 2f, C); plain argmax over logits."""
+            remove: str | None = None) -> np.ndarray:
+    """Argmax class predictions for (N, F, 2f, C), INFERENCE_BATCH per forward."""
     x = _check_input(cfg, x)
     out = np.empty(x.shape[0], dtype=np.int64)
-    for lo in range(0, x.shape[0], batch_size):
-        hi = min(lo + batch_size, x.shape[0])
+    for lo in range(0, x.shape[0], INFERENCE_BATCH):
+        hi = lo + INFERENCE_BATCH
         logits, _ = forward(Tape(), wrap_params(params), cfg, x[lo:hi], remove)
         out[lo:hi] = np.argmax(logits.data, axis=-1)
     return out

@@ -6,21 +6,17 @@ or in captured output). Budget-heavy criteria share module-scoped datasets.
 Run: pytest tests/test_acceptance.py -s -v
 """
 
-import math
 import time
 
 import numpy as np
-import pytest
 
 from amdet.attribution import rank_channels, select_channels
 from amdet.checkpoint import load_checkpoint, save_checkpoint
 from amdet.data import FeatureSet, default_synth_spec, synth_generate
 from amdet.engine import OptimizerConfig, Tape
-from amdet.errors import DataError
 from amdet.features import (BandSpec, DEAP_BANDS, band_component, de,
                             extract_features, psd, zscore)
-from amdet.harness import (ExperimentConfig, count_params_flops, evaluate,
-                           fit, train)
+from amdet.harness import ExperimentConfig, count_params_flops, fit, train
 from amdet.model import (ModelConfig, forward, init_params, wrap_params)
 
 from test_gradcheck import TOY as GRAD_TOY, max_rel_error_per_tensor

@@ -3,15 +3,17 @@
 import numpy as np
 import pytest
 
+from amdet import attribution, model
 from amdet.attribution import (ChannelReport, grad_cam_channels,
                                rank_channels, read_ranking_csv,
                                select_channels, write_channel_report)
 from amdet.data import FeatureSet, default_synth_spec, synth_generate
-from amdet.engine import OptimizerConfig
+from amdet.engine import OptimizerConfig, Tape
 from amdet.errors import DataError
 from amdet.features import DEAP_BANDS, extract_features
 from amdet.harness import ExperimentConfig, fit
-from amdet.model import ModelConfig, init_params
+from amdet.model import (INFERENCE_BATCH, ModelConfig, forward, init_params,
+                         predict, wrap_params)
 
 CFG = ModelConfig(channels=4, bands=2, frames=6, classes=2, seed=3,
                   mlp_ratio=4)
@@ -22,36 +24,45 @@ def sample_for(cfg, seed=0):
     return rng.normal(size=(cfg.frames, cfg.feature_dim, cfg.channels))
 
 
+def batch_for(cfg, n, seed=0):
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=(n, cfg.frames, cfg.feature_dim, cfg.channels)),
+            rng.integers(0, cfg.classes, n))
+
+
 def test_zero_classifier_gives_zero_scores():
     params = init_params(CFG)
     params["classifier.w"][...] = 0.0
     params["classifier.b"][...] = 0.0
-    scores = grad_cam_channels(params, CFG, sample_for(CFG), target_class=0)
+    scores = grad_cam_channels(params, CFG, sample_for(CFG)[None],
+                               target_classes=np.array([0]))
     np.testing.assert_array_equal(scores, 0.0)
 
 
-@pytest.mark.parametrize("layer", ["input", "spatial"])
-def test_scores_nonnegative(layer, rng):
+def test_scores_nonnegative():
     params = init_params(CFG)
-    for seed in range(3):
-        scores = grad_cam_channels(params, CFG, sample_for(CFG, seed), 1,
-                                   target_layer=layer)
-        assert np.all(scores >= 0)
+    x = np.stack([sample_for(CFG, seed) for seed in range(3)])
+    scores = grad_cam_channels(params, CFG, x, np.ones(3, dtype=int))
+    assert scores.shape == (3, CFG.channels)
+    assert np.all(scores >= 0)
 
 
 def test_bad_target_class_rejected():
     params = init_params(CFG)
+    x = sample_for(CFG)[None]
     with pytest.raises(DataError):
-        grad_cam_channels(params, CFG, sample_for(CFG), target_class=5)
+        grad_cam_channels(params, CFG, x, target_classes=np.array([5]))
     with pytest.raises(DataError):
-        grad_cam_channels(params, CFG, sample_for(CFG), 0, target_layer="mlp")
+        grad_cam_channels(params, CFG, x, target_classes=np.array([-1]))
+    with pytest.raises(DataError):
+        grad_cam_channels(params, CFG, x, target_classes=np.array([0, 1]))
 
 
 def test_single_sample_ranking_matches_its_scores():
     params = init_params(CFG)
     x = sample_for(CFG)[None]
     report = rank_channels(params, CFG, x, np.array([1]))
-    expected = grad_cam_channels(params, CFG, x[0], 1)
+    expected = grad_cam_channels(params, CFG, x, np.array([1]))[0]
     np.testing.assert_allclose(report.scores, expected)
     assert report.ranking == [int(i) for i in np.argsort(-expected,
                                                          kind="stable")]
@@ -80,6 +91,63 @@ def test_rank_channels_empty_rejected():
     params = init_params(CFG)
     with pytest.raises(DataError):
         rank_channels(params, CFG, np.zeros((0, 6, 4, 4)), np.zeros(0))
+
+
+# ------------------------------------------------------- chunked inference
+
+N_ACROSS_CHUNKS = INFERENCE_BATCH + 1
+
+
+def test_rank_channels_matches_per_sample_oracle():
+    params = init_params(CFG)
+    x, y = batch_for(CFG, N_ACROSS_CHUNKS)
+    oracle = np.mean([grad_cam_channels(params, CFG, x[i:i + 1], y[i:i + 1])[0]
+                      for i in range(len(x))], axis=0)
+    report = rank_channels(params, CFG, x, y)
+    np.testing.assert_allclose(report.scores, oracle, rtol=1e-12, atol=0)
+    assert report.ranking == [int(i) for i in np.argsort(-oracle,
+                                                         kind="stable")]
+
+
+def test_no_inference_forward_exceeds_the_chunk(monkeypatch):
+    sizes = []
+
+    def recording_forward(tape, p, cfg, x, remove=None):
+        sizes.append(len(x))
+        return forward(tape, p, cfg, x, remove)
+
+    monkeypatch.setattr(attribution, "forward", recording_forward)
+    monkeypatch.setattr(model, "forward", recording_forward)
+    params = init_params(CFG)
+    x, y = batch_for(CFG, N_ACROSS_CHUNKS)
+    rank_channels(params, CFG, x, y)
+    assert sizes == [INFERENCE_BATCH, 1]
+    sizes.clear()
+    predict(params, CFG, np.concatenate([x, x, x]))
+    assert max(sizes) <= INFERENCE_BATCH and sum(sizes) == 3 * len(x)
+
+
+def test_rank_channels_runs_one_backward_per_chunk(monkeypatch):
+    calls = []
+    backward = Tape.backward
+
+    def counting_backward(self, loss):
+        calls.append(loss)
+        return backward(self, loss)
+
+    monkeypatch.setattr(Tape, "backward", counting_backward)
+    x, y = batch_for(CFG, N_ACROSS_CHUNKS)
+    rank_channels(init_params(CFG), CFG, x, y)
+    assert len(calls) == 2
+
+
+def test_predict_matches_per_sample_argmax():
+    params = init_params(CFG)
+    x, _ = batch_for(CFG, 40, seed=4)
+    per_sample = [int(np.argmax(forward(Tape(), wrap_params(params), CFG,
+                                        x[i:i + 1])[0].data))
+                  for i in range(len(x))]
+    assert predict(params, CFG, x).tolist() == per_sample
 
 
 # --------------------------------------------------------- select_channels

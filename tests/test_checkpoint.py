@@ -1,10 +1,16 @@
 """Checkpoint format: byte-exact round trips and header validation."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from amdet.checkpoint import load_checkpoint, save_checkpoint
+from amdet.cli import main
+from amdet.data import write_features
 from amdet.errors import DataError
+from amdet.features import DEAP_BANDS, SampleTensor
 from amdet.model import ModelConfig, init_params
 
 CFG = ModelConfig(channels=4, bands=2, frames=6, classes=2, seed=3,
@@ -66,3 +72,74 @@ def test_checkpoint_truncated_payload_rejected(tmp_path):
     path.write_bytes(raw[:-8])
     with pytest.raises(DataError, match="payload"):
         load_checkpoint(path)
+
+
+# ------------------------------------------- malformed files: eval exits 2
+
+
+def _edit_header(path, edit):
+    raw = path.read_bytes()
+    (length,) = struct.unpack("<I", raw[4:8])
+    header = json.loads(raw[8:8 + length])
+    edit(header)
+    blob = json.dumps(header).encode()
+    path.write_bytes(raw[:4] + struct.pack("<I", len(blob)) + blob
+                     + raw[8 + length:])
+
+
+def _entry(header, name):
+    return next(e for e in header["param_index"] if e["name"] == name)
+
+
+def _nan_first_weight(path):
+    raw = bytearray(path.read_bytes())
+    (length,) = struct.unpack("<I", raw[4:8])
+    raw[8 + length:12 + length] = np.array([np.nan], "<f4").tobytes()
+    path.write_bytes(bytes(raw))
+
+
+MALFORMED = {
+    "six_bytes": lambda p: p.write_bytes(p.read_bytes()[:6]),
+    "header_longer_than_file": lambda p: p.write_bytes(
+        p.read_bytes()[:4] + struct.pack("<I", 1 << 30)),
+    "no_param_index": lambda p: _edit_header(
+        p, lambda h: h.pop("param_index")),
+    "missing_parameter": lambda p: _edit_header(
+        p, lambda h: h.update(param_index=[
+            e for e in h["param_index"] if e["name"] != "spectral.pos"])),
+    "wrong_shape": lambda p: _edit_header(
+        p, lambda h: _entry(h, "classifier.w").update(shape=[2, 8])),
+    "negative_offset": lambda p: _edit_header(
+        p, lambda h: _entry(h, "classifier.w").update(offset=-4)),
+    "nan_weight": _nan_first_weight,
+    "unknown_config_key": lambda p: _edit_header(
+        p, lambda h: h["config"].update(depth=3)),
+    "string_channel_count": lambda p: _edit_header(
+        p, lambda h: h["config"].update(channels="4")),
+}
+
+
+@pytest.fixture
+def eval_features(tmp_path):
+    rng = np.random.default_rng(0)
+    samples = [SampleTensor(rng.normal(size=(CFG.frames, CFG.feature_dim,
+                                             CFG.channels)), i % 2)
+               for i in range(4)]
+    write_features(tmp_path / "feat", samples, DEAP_BANDS[:CFG.bands])
+    return tmp_path / "feat"
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_checkpoint_eval_exits_2(case, tmp_path, eval_features,
+                                           capsys):
+    path = tmp_path / "m.amdw"
+    save_checkpoint(path, init_params(CFG), CFG)
+    assert main(["eval", "--checkpoint", str(path),
+                 "--features", str(eval_features)]) == 0
+    capsys.readouterr()
+    MALFORMED[case](path)
+    with pytest.raises(DataError):
+        load_checkpoint(path)
+    assert main(["eval", "--checkpoint", str(path),
+                 "--features", str(eval_features)]) == 2
+    assert "data error" in capsys.readouterr().err

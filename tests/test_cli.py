@@ -152,3 +152,38 @@ def test_config_file_with_set_override(workdir, capsys):
     manifest = json.loads((out.with_suffix(".json")).read_text())
     assert len(manifest["channels"]) == 6                # override applied
     assert len(manifest["trials"]) == 4                  # file value kept
+
+
+@pytest.mark.parametrize("override, named", [
+    ('epochs="x"', "epochs"),
+    ("folds=2.5", "folds"),
+    ("optimizer.batch_size=0", "batch_size"),
+    ('optimizer.lr_schedule="step"', "lr_schedule"),
+    ('optimizer.lr="fast"', "lr"),
+    ("optimizer=3", "optimizer"),
+    ('model.channels="4"', "channels"),
+])
+def test_bad_config_field_exit_code_2(pipeline, override, named, capsys):
+    assert main(["train", "--features", str(pipeline / "feat"),
+                 "--out", str(pipeline / "badcfg"), "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and named in err
+    assert not (pipeline / "badcfg").exists()
+
+
+def test_config_file_must_be_an_object(workdir, capsys):
+    config = workdir / "list.json"
+    config.write_text("[1, 2]")
+    assert main(["train", "--features", str(workdir / "feat"),
+                 "--out", str(workdir / "x"), "--config", str(config)]) == 2
+    assert "must be a JSON object" in capsys.readouterr().err
+
+
+def test_attribute_rejects_config_keys(pipeline, capsys):
+    assert main(["attribute", "--checkpoint",
+                 str(pipeline / "run" / "fold0.amdw"),
+                 "--features", str(pipeline / "feat"),
+                 "--out", str(pipeline / "attrib_cfg"),
+                 "--set", 'target_layer="spatial"']) == 2
+    assert "target_layer" in capsys.readouterr().err
+    assert not (pipeline / "attrib_cfg").exists()
