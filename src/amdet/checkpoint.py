@@ -52,7 +52,8 @@ def load_checkpoint(path: str | Path
 
     The parameter index must name exactly the parameters, with the shapes,
     that `init_params(config)` makes, at non-negative integer offsets inside
-    the payload, and every weight must be finite.
+    the payload, every weight must be finite, and extra (if present) must be
+    an object. A config without "ablate" is a full model.
     """
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
@@ -73,6 +74,9 @@ def load_checkpoint(path: str | Path
         raise DataError(
             f"{path}: unsupported checkpoint version {header.get('version')!r}")
     config = ModelConfig.from_dict(header.get("config"))
+    extra = header.get("extra", {})
+    if not isinstance(extra, dict):
+        raise DataError(f"{path}: checkpoint extra {extra!r} is not an object")
     index = header.get("param_index")
     if not isinstance(index, list):
         raise DataError(f"{path}: checkpoint header has no param_index list")
@@ -108,4 +112,4 @@ def load_checkpoint(path: str | Path
     missing = sorted(expected.keys() - params.keys())
     if missing:
         raise DataError(f"{path}: checkpoint lacks parameters {missing}")
-    return params, config, header.get("extra", {})
+    return params, config, extra

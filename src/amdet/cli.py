@@ -3,8 +3,8 @@
 Subcommands: synth, preprocess, train, eval, ablate, attribute,
 reduce-channels, count. Each accepts --config <json file> plus repeated
 --set key=value overrides (dotted keys reach into nested fields; values are
-parsed as JSON when possible, else kept as strings); attribute has no config
-keys and rejects any.
+parsed as JSON when possible, else kept as strings). eval and attribute take
+everything from the checkpoint and reject any config key.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 """
@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ from pathlib import Path
 from . import attribution, data, features as feat, harness
 from .checkpoint import load_checkpoint
 from .errors import DataError, NumericalError, UsageError
+from .model import ABLATABLE_BLOCKS
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,8 +68,11 @@ def _band_set(name_or_list) -> list[feat.BandSpec]:
     if name_or_list == "deap":
         return list(feat.DEAP_BANDS)
     if isinstance(name_or_list, list):
-        return [feat.BandSpec(b["name"], b["lo_hz"], b["hi_hz"])
-                for b in name_or_list]
+        try:
+            return [feat.BandSpec(**b) for b in name_or_list]
+        except TypeError as e:      # not a mapping, unknown or missing keys
+            raise DataError(f"bands: each entry needs name, lo_hz and "
+                            f"hi_hz: {e}") from e
     raise UsageError(f"unknown band set {name_or_list!r}")
 
 
@@ -97,8 +102,7 @@ def build_parser() -> _Parser:
         p.add_argument("--features", required=True)
         p.add_argument("--out", required=True)
         if name == "ablate":
-            p.add_argument("--remove", required=True,
-                           choices=["spectral", "spatial", "temporal"])
+            p.add_argument("--remove", required=True, choices=ABLATABLE_BLOCKS)
         _add_common(p)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a feature file")
@@ -138,7 +142,16 @@ def _experiment_config(args, config: dict) -> harness.ExperimentConfig:
         config["features"] = args.features
     if getattr(args, "out", None):
         config["out_dir"] = args.out
+    if getattr(args, "remove", None):
+        _set_by_path(config, "model.ablate", args.remove)
     return harness.ExperimentConfig.from_dict(config)
+
+
+def _reject_config(args) -> None:
+    config = _load_config(args)
+    if config:
+        raise DataError(f"{args.command} takes no config keys, got "
+                        f"{sorted(config)}")
 
 
 def _print_report(report) -> None:
@@ -164,17 +177,16 @@ def cmd_synth(args) -> int:
 
 def cmd_preprocess(args) -> int:
     config = _load_config(args)
+    bands = _band_set(config.pop("bands", None))
+    threshold = config.pop("binarize_threshold", None)
+    try:        # every other key is an extract_features option
+        inspect.signature(feat.extract_features).bind(None, bands, **config)
+    except TypeError as e:
+        raise DataError(f"preprocess config: {e}") from e
     rec = data.read_recording(args.recording)
-    bands = _band_set(config.get("bands"))
-    if config.get("binarize_threshold") is not None:
-        rec = feat.binarize_labels(rec, float(config["binarize_threshold"]))
-    samples = feat.extract_features(
-        rec, bands,
-        sample_seconds=config.get("sample_seconds", 3.0),
-        frame_seconds=config.get("frame_seconds", 0.5),
-        subtract_baseline=config.get("subtract_baseline", True),
-        baseline_psd=config.get("baseline_psd", False),
-        normalize=config.get("normalize", True))
+    if threshold is not None:
+        rec = feat.binarize_labels(rec, threshold)
+    samples = feat.extract_features(rec, bands, **config)
     data.write_features(args.out, samples, bands, channels=rec.channels)
     shape = samples[0].values.shape
     print(f"wrote {args.out}.json/.f32: {len(samples)} samples of shape "
@@ -182,32 +194,30 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def cmd_train(args, remove: str | None = None) -> int:
+def cmd_train(args) -> int:
     config = _experiment_config(args, _load_config(args))
     fs = data.read_features(config.features)
-    report = harness.train(config, fs, remove=remove)
+    report = harness.train(config, fs)
     _print_report(report)
     return 0
 
 
 def cmd_eval(args) -> int:
-    _load_config(args)
-    params, model_cfg, extra = load_checkpoint(args.checkpoint)
+    _reject_config(args)
+    params, model_cfg, _ = load_checkpoint(args.checkpoint)
     fs = data.read_features(args.features)
-    acc, confusion = harness.evaluate(params, model_cfg, fs.values, fs.labels,
-                                      remove=extra.get("ablate"))
+    acc, confusion = harness.evaluate(params, model_cfg, fs.values, fs.labels)
     print(json.dumps({"accuracy": acc, "confusion": confusion.tolist(),
                       "n_samples": int(fs.n_samples)}, indent=1))
     return 0
 
 
 def cmd_attribute(args) -> int:
-    config = _load_config(args)
-    if config:
-        raise DataError(f"attribute takes no config keys, got {sorted(config)}")
-    params, model_cfg, extra = load_checkpoint(args.checkpoint)
-    if extra.get("ablate"):
-        raise DataError("attribution requires a full (non-ablated) model")
+    _reject_config(args)
+    params, model_cfg, _ = load_checkpoint(args.checkpoint)
+    if model_cfg.ablate is not None:
+        raise DataError(f"attribution requires a full model, this one has "
+                        f"its {model_cfg.ablate} block removed")
     fs = data.read_features(args.features)
     report = attribution.rank_channels(params, model_cfg, fs.values,
                                        fs.labels)
@@ -264,10 +274,8 @@ def main(argv=None) -> int:
             return cmd_synth(args)
         if args.command == "preprocess":
             return cmd_preprocess(args)
-        if args.command == "train":
+        if args.command in ("train", "ablate"):
             return cmd_train(args)
-        if args.command == "ablate":
-            return cmd_train(args, remove=args.remove)
         if args.command == "eval":
             return cmd_eval(args)
         if args.command == "attribute":

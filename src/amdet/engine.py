@@ -33,7 +33,6 @@ import numpy as np
 from .errors import DataError, NumericalError, check_numbers
 
 Array = np.ndarray
-LR_SCHEDULES = ("constant", "cosine")
 
 
 class Tensor:
@@ -321,29 +320,24 @@ class OptimizerConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     batch_size: int = 16
-    grad_clip: float | None = None        # max global grad norm, off by default
-    lr_schedule: str = "constant"         # one of LR_SCHEDULES
 
     def __post_init__(self):
         check_numbers("optimizer", numbers.Real, lr=self.lr,
                       weight_decay=self.weight_decay, beta1=self.beta1,
                       beta2=self.beta2, eps=self.eps)
         check_numbers("optimizer", numbers.Integral, batch_size=self.batch_size)
-        if self.grad_clip is not None:
-            check_numbers("optimizer", numbers.Real, grad_clip=self.grad_clip)
         if self.batch_size < 1:
             raise DataError(f"optimizer: batch_size must be >= 1, got "
                             f"{self.batch_size}")
-        if self.lr_schedule not in LR_SCHEDULES:
-            raise DataError(f"optimizer: lr_schedule must be one of "
-                            f"{LR_SCHEDULES}, got {self.lr_schedule!r}")
 
 
 class AdamW:
     """Decoupled weight decay Adam over a dict of named parameter arrays.
 
-    Updates happen in place so callers can keep long-lived references to the
-    parameter arrays. Moments are keyed by parameter name.
+    Every step uses the config's constant learning rate on the raw gradients
+    (no schedule, no clipping). Updates happen in place so callers can keep
+    long-lived references to the parameter arrays. Moments are keyed by
+    parameter name.
     """
 
     def __init__(self, params: dict[str, Array], config: OptimizerConfig):
@@ -352,17 +346,10 @@ class AdamW:
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
-    def step(self, params: dict[str, Array], grads: dict[str, Array],
-             lr: float | None = None) -> None:
+    def step(self, params: dict[str, Array], grads: dict[str, Array]) -> None:
         cfg = self.config
-        lr = cfg.lr if lr is None else lr
         self.step_count += 1
         t = self.step_count
-        if cfg.grad_clip is not None:
-            norm = np.sqrt(sum(float((g ** 2).sum()) for g in grads.values()))
-            if norm > cfg.grad_clip:
-                scale = cfg.grad_clip / norm
-                grads = {k: g * scale for k, g in grads.items()}
         for name, theta in params.items():
             g = grads.get(name)
             if g is None:
@@ -375,18 +362,9 @@ class AdamW:
             v += (1 - cfg.beta2) * g * g
             m_hat = m / (1 - cfg.beta1 ** t)
             v_hat = v / (1 - cfg.beta2 ** t)
-            update = lr * (m_hat / (np.sqrt(v_hat) + cfg.eps)
-                           + cfg.weight_decay * theta)
+            update = cfg.lr * (m_hat / (np.sqrt(v_hat) + cfg.eps)
+                               + cfg.weight_decay * theta)
             if not np.all(np.isfinite(update)):
                 raise NumericalError(f"non-finite AdamW update for '{name}'")
             theta -= update
 
-
-def schedule_lr(config: OptimizerConfig, epoch: int, total_epochs: int) -> float:
-    """Learning rate for the given epoch under the configured schedule."""
-    if config.lr_schedule == "constant":
-        return config.lr
-    if config.lr_schedule == "cosine":
-        frac = epoch / max(total_epochs - 1, 1)
-        return config.lr * 0.5 * (1.0 + np.cos(np.pi * frac))
-    raise ValueError(f"unknown lr schedule: {config.lr_schedule!r}")

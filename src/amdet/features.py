@@ -12,11 +12,12 @@ that ideal filter written out; it is kept as the reference for the values.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_numbers
 
 DE_VARIANCE_FLOOR = 1e-12
 ZSCORE_STD_FLOOR = 1e-8
@@ -31,6 +32,8 @@ class BandSpec:
     hi_hz: float
 
     def __post_init__(self):
+        check_numbers(f"band {self.name!r}", numbers.Real, lo_hz=self.lo_hz,
+                      hi_hz=self.hi_hz)
         if not (0 <= self.lo_hz < self.hi_hz):
             raise DataError(f"band {self.name!r}: need 0 <= lo < hi, "
                             f"got [{self.lo_hz}, {self.hi_hz})")
@@ -108,6 +111,9 @@ class SampleTensor:
 def _frame_counts(sample_rate_hz: float, sample_seconds: float,
                   frame_seconds: float) -> tuple[int, int]:
     """(frames per sample, points per frame); rejects non-integral splits."""
+    if min(sample_seconds, frame_seconds) <= 0:
+        raise DataError(f"sample_seconds={sample_seconds} and frame_seconds="
+                        f"{frame_seconds} must be positive")
     n_frames = sample_seconds / frame_seconds
     if abs(n_frames - round(n_frames)) > 1e-9:
         raise DataError(
@@ -281,6 +287,7 @@ def binarize_labels(rec: RawRecording, threshold: float = 5.0) -> RawRecording:
 
     Mirrors the usual handling of 1-9 self-assessment ratings.
     """
+    check_numbers("preprocess", numbers.Real, binarize_threshold=threshold)
     trials = [Trial(t.start, t.end, int(t.label > threshold),
                     t.baseline_start, t.baseline_end) for t in rec.trials]
     return RawRecording(rec.sample_rate_hz, list(rec.channels), rec.data,
@@ -299,6 +306,14 @@ def extract_features(rec: RawRecording,
     Baseline subtraction applies only to trials that carry a baseline range
     (and only when subtract_baseline is set).
     """
+    check_numbers("preprocess", numbers.Real, sample_seconds=sample_seconds,
+                  frame_seconds=frame_seconds)
+    for name, flag in {"subtract_baseline": subtract_baseline,
+                       "baseline_psd": baseline_psd,
+                       "normalize": normalize}.items():
+        if not isinstance(flag, bool):
+            raise DataError(f"preprocess: {name} must be true or false, "
+                            f"got {flag!r}")
     out = []
     fs = rec.sample_rate_hz
     for ti, (trial, frames) in enumerate(

@@ -19,10 +19,10 @@ import numpy as np
 
 from .checkpoint import save_checkpoint
 from .data import FeatureSet
-from .engine import AdamW, OptimizerConfig, Tape, schedule_lr
+from .engine import AdamW, OptimizerConfig, Tape
 from .errors import DataError, NumericalError, check_numbers
-from .model import (ABLATABLE_BLOCKS, ModelConfig, forward, forward_flops,
-                    init_params, param_count, predict, wrap_params)
+from .model import (ModelConfig, forward, forward_flops, init_params,
+                    param_count, predict, wrap_params)
 
 SPLIT_MODES = ("segment", "trial")
 K_GRID_STRIDE = 4
@@ -36,7 +36,6 @@ class ExperimentConfig:
     folds: int = 5
     split_mode: str = "segment"
     epochs: int = 100
-    ablate: str | None = None
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     model: dict = field(default_factory=dict)   # ModelConfig field overrides
 
@@ -154,8 +153,7 @@ def kfold_split(n_samples: int, folds: int, mode: str, seed: int,
 
 
 def fit(x_train: np.ndarray, y_train: np.ndarray, model_cfg: ModelConfig,
-        opt_cfg: OptimizerConfig, epochs: int, shuffle_seed: int,
-        remove: str | None = None
+        opt_cfg: OptimizerConfig, epochs: int, shuffle_seed: int
         ) -> tuple[dict[str, np.ndarray], list[float]]:
     """Train a freshly initialized model; returns (params, per-epoch losses)."""
     params = init_params(model_cfg)
@@ -164,14 +162,13 @@ def fit(x_train: np.ndarray, y_train: np.ndarray, model_cfg: ModelConfig,
     n = x_train.shape[0]
     losses = []
     for epoch in range(epochs):
-        lr = schedule_lr(opt_cfg, epoch, epochs)
         order = rng.permutation(n)
         total, seen = 0.0, 0
         for lo in range(0, n, opt_cfg.batch_size):
             idx = order[lo:lo + opt_cfg.batch_size]
             tape = Tape()
             tensors = wrap_params(params)
-            logits, _ = forward(tape, tensors, model_cfg, x_train[idx], remove)
+            logits, _ = forward(tape, tensors, model_cfg, x_train[idx])
             loss = tape.cross_entropy(logits, y_train[idx])
             if not np.isfinite(loss.data):
                 raise NumericalError(
@@ -180,7 +177,7 @@ def fit(x_train: np.ndarray, y_train: np.ndarray, model_cfg: ModelConfig,
             tape.backward(loss)
             grads = {name: t.grad for name, t in tensors.items()
                      if t.grad is not None}
-            optimizer.step(params, grads, lr=lr)
+            optimizer.step(params, grads)
             total += float(loss.data) * idx.size
             seen += idx.size
         losses.append(total / seen)
@@ -188,8 +185,7 @@ def fit(x_train: np.ndarray, y_train: np.ndarray, model_cfg: ModelConfig,
 
 
 def evaluate(params: dict[str, np.ndarray], model_cfg: ModelConfig,
-             x: np.ndarray, y: np.ndarray, remove: str | None = None
-             ) -> tuple[float, np.ndarray]:
+             x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     """(accuracy, confusion matrix with rows = true class)."""
     k = model_cfg.classes
     y = np.asarray(y)
@@ -198,7 +194,7 @@ def evaluate(params: dict[str, np.ndarray], model_cfg: ModelConfig,
     if y.size and (y.min() < 0 or y.max() >= k):
         raise DataError(f"labels must lie in [0, {k}), got values from "
                         f"{y.min()} to {y.max()}")
-    preds = predict(params, model_cfg, x, remove)
+    preds = predict(params, model_cfg, x)
     confusion = np.zeros((k, k), dtype=np.int64)
     np.add.at(confusion, (y.astype(np.intp), preds), 1)
     accuracy = float(np.trace(confusion)) / max(len(y), 1)
@@ -216,18 +212,14 @@ def _macro_f1(confusion: np.ndarray) -> float:
     return float(np.mean(scores))
 
 
-def train(config: ExperimentConfig, features: FeatureSet,
-          remove: str | None = None, save_artifacts: bool = True
-          ) -> RunReport:
+def train(config: ExperimentConfig, features: FeatureSet) -> RunReport:
     """Cross-validated training per the experiment config.
 
     Writes report.json, loss.csv, and one checkpoint per fold into
-    config.out_dir unless save_artifacts is off. remove (default
-    config.ablate) names a block of model.ABLATABLE_BLOCKS to drop.
+    config.out_dir; an empty out_dir writes nothing. An ablation run is one
+    whose config.model sets "ablate": every fold trains, evaluates and saves
+    that model, and the report's FLOPs count its forward.
     """
-    remove = remove if remove is not None else config.ablate
-    if remove is not None and remove not in ABLATABLE_BLOCKS:
-        raise DataError(f"cannot remove unknown block {remove!r}")
     started = time.perf_counter()
     x, y = features.values, features.labels
     splits = kfold_split(x.shape[0], config.folds, config.split_mode,
@@ -238,28 +230,24 @@ def train(config: ExperimentConfig, features: FeatureSet,
     confusion = np.zeros((model_cfg0.classes, model_cfg0.classes),
                          dtype=np.int64)
     out_dir = Path(config.out_dir) if config.out_dir else None
-    if save_artifacts and out_dir is not None:
+    if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     for fold, (train_idx, test_idx) in enumerate(splits):
         model_cfg = config.model_config(features, seed=config.seed + fold)
         try:
             params, losses = fit(x[train_idx], y[train_idx], model_cfg,
                                  config.optimizer, config.epochs,
-                                 shuffle_seed=config.seed + fold,
-                                 remove=remove)
+                                 shuffle_seed=config.seed + fold)
         except NumericalError as e:
             raise NumericalError(f"fold {fold}: {e}") from e
-        acc, conf = evaluate(params, model_cfg, x[test_idx], y[test_idx],
-                             remove)
+        acc, conf = evaluate(params, model_cfg, x[test_idx], y[test_idx])
         fold_accs.append(acc)
         curves.append(losses)
         confusion += conf
-        if save_artifacts and out_dir is not None:
-            extra = {"fold": fold, "accuracy": acc}
-            if remove:
-                extra["ablate"] = remove
+        if out_dir is not None:
             save_checkpoint(out_dir / f"fold{fold}.amdw", params, model_cfg,
-                            extra=extra)
+                            extra={"fold": fold, "accuracy": acc})
+    n_params, flops = count_params_flops(model_cfg0)
     report = RunReport(
         fold_accuracies=fold_accs,
         mean_accuracy=float(np.mean(fold_accs)),
@@ -268,17 +256,17 @@ def train(config: ExperimentConfig, features: FeatureSet,
         macro_f1=_macro_f1(confusion),
         loss_curves=curves,
         wall_time_s=time.perf_counter() - started,
-        n_params=param_count(init_params(model_cfg0)),
-        flops_per_forward=forward_flops(model_cfg0),
+        n_params=n_params,
+        flops_per_forward=flops,
         split_mode=config.split_mode,
         folds=config.folds,
         epochs=config.epochs,
         n_samples=x.shape[0],
         seed=config.seed,
-        ablate=remove,
+        ablate=model_cfg0.ablate,
         mlp_ratio=model_cfg0.mlp_ratio,
     )
-    if save_artifacts and out_dir is not None:
+    if out_dir is not None:
         write_report(out_dir, report)
     return report
 
@@ -311,8 +299,7 @@ def _heads_for(k: int, heads: int) -> int:
 
 
 def reduce_channels_sweep(config: ExperimentConfig, features: FeatureSet,
-                          ranking: list[int], ks: list[int],
-                          save_artifacts: bool = True) -> list[dict]:
+                          ranking: list[int], ks: list[int]) -> list[dict]:
     """Retrain from scratch on the top-k channels for every requested k."""
     from .attribution import select_channels
 
@@ -330,10 +317,10 @@ def reduce_channels_sweep(config: ExperimentConfig, features: FeatureSet,
         sub_config.model["channels"] = k
         sub_config.model["spectral_heads"] = _heads_for(
             k, base_cfg.spectral_heads)
-        report = train(sub_config, sub, save_artifacts=save_artifacts)
+        report = train(sub_config, sub)
         rows.append({"k": k, "mean": report.mean_accuracy,
                      "std": report.std_accuracy})
-    if save_artifacts and out_dir is not None:
+    if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         with open(out_dir / "sweep.csv", "w", newline="") as fh:
             writer = csv.writer(fh)

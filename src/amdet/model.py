@@ -46,9 +46,15 @@ class ModelConfig:
     spatial_heads: int = 2
     mlp_ratio: int = 32
     seed: int = 0
+    ablate: str | None = None     # block of ABLATABLE_BLOCKS to drop, or None
 
     def __post_init__(self):
-        check_numbers("model config", numbers.Integral, **asdict(self))
+        sizes = asdict(self)
+        del sizes["ablate"]
+        check_numbers("model config", numbers.Integral, **sizes)
+        if self.ablate not in (None, *ABLATABLE_BLOCKS):
+            raise DataError(f"model config: ablate must be one of "
+                            f"{ABLATABLE_BLOCKS} or null, got {self.ablate!r}")
         if min(self.channels, self.bands, self.frames) < 1 or self.classes < 2:
             raise DataError("model dimensions must be positive (classes >= 2)")
         if self.spectral_layers < 1 or self.spatial_layers < 1:
@@ -207,6 +213,8 @@ def _check_input(cfg: ModelConfig, x: np.ndarray) -> np.ndarray:
 def spectral_block(tape: Tape, p: dict[str, Tensor], cfg: ModelConfig,
                    x: Tensor) -> tuple[Tensor, list[Tensor]]:
     """Shared encoder over each frame's 2f band-feature tokens (dim C)."""
+    if cfg.ablate == "spectral":
+        return x, []
     z = tape.add(x, p["spectral.pos"])
     attns: list[Tensor] = []
     for layer in range(cfg.spectral_layers):
@@ -217,11 +225,10 @@ def spectral_block(tape: Tape, p: dict[str, Tensor], cfg: ModelConfig,
 
 
 def spatial_block(tape: Tape, p: dict[str, Tensor], cfg: ModelConfig,
-                  x: Tensor, skip_encoder: bool = False
-                  ) -> tuple[Tensor, list[Tensor]]:
+                  x: Tensor) -> tuple[Tensor, list[Tensor]]:
     """Per-frame transpose to channel tokens (dim 2f), then shared encoder."""
     z = tape.transpose(x)
-    if skip_encoder:
+    if cfg.ablate == "spatial":
         return z, []
     z = tape.add(z, p["spatial.pos"])
     attns: list[Tensor] = []
@@ -233,17 +240,16 @@ def spatial_block(tape: Tape, p: dict[str, Tensor], cfg: ModelConfig,
 
 
 def temporal_block(tape: Tape, p: dict[str, Tensor], cfg: ModelConfig,
-                   x: Tensor, uniform: bool = False
-                   ) -> tuple[Tensor, Tensor]:
+                   x: Tensor) -> tuple[Tensor, Tensor]:
     """Soft-attention pooling over frames.
 
     Flattens each frame, scores it with a single learned linear map, and
-    returns the attention-weighted frame sum plus the weights. With
-    uniform=True (or a zero score map) this is exactly mean pooling.
+    returns the attention-weighted frame sum plus the weights. Ablated (or
+    with a zero score map) this is exactly mean pooling.
     """
     b, f = x.data.shape[0], cfg.frames
     flat = tape.reshape(x, (b, f, cfg.flat_dim))
-    if uniform:
+    if cfg.ablate == "temporal":
         weights = Tensor(np.full((b, f), 1.0 / f), name="uniform_weights")
     else:
         scores = tape.add(tape.matmul(flat, p["temporal.score.w"]),
@@ -258,29 +264,22 @@ def classify(tape: Tape, p: dict[str, Tensor], x: Tensor) -> Tensor:
 
 
 def forward(tape: Tape, p: dict[str, Tensor], cfg: ModelConfig,
-            x: np.ndarray, remove: str | None = None) -> tuple[Tensor, dict]:
+            x: np.ndarray) -> tuple[Tensor, dict]:
     """Full forward pass on a (B, F, 2f, C) batch; returns (logits, aux).
 
-    remove drops one block for ablation runs: "spectral" bypasses the
-    spectral encoder and its positional map, "spatial" keeps only the
-    transpose, "temporal" pools frames uniformly.
+    cfg.ablate drops one block for ablation runs, with the parameters kept:
+    "spectral" bypasses the spectral encoder and its positional map,
+    "spatial" keeps only the transpose, "temporal" pools frames uniformly.
 
     aux carries the input (attribution reads its gradient), the spatial-block
     output, the frame weights and every attention matrix for inspection.
     """
-    if remove is not None and remove not in ABLATABLE_BLOCKS:
-        raise DataError(f"unknown block to remove: {remove!r}")
     data = _check_input(cfg, x)
     inp = Tensor(data, name="input")
-    if remove == "spectral":
-        z, spec_attn = inp, []
-    else:
-        z, spec_attn = spectral_block(tape, p, cfg, inp)
-    z, spat_attn = spatial_block(tape, p, cfg, z,
-                                 skip_encoder=(remove == "spatial"))
+    z, spec_attn = spectral_block(tape, p, cfg, inp)
+    z, spat_attn = spatial_block(tape, p, cfg, z)
     spatial_out = z
-    pooled, weights = temporal_block(tape, p, cfg, z,
-                                     uniform=(remove == "temporal"))
+    pooled, weights = temporal_block(tape, p, cfg, z)
     logits = classify(tape, p, pooled)
     aux = {
         "input": inp,
@@ -292,20 +291,20 @@ def forward(tape: Tape, p: dict[str, Tensor], cfg: ModelConfig,
     return logits, aux
 
 
-def predict(params: dict[str, np.ndarray], cfg: ModelConfig, x: np.ndarray,
-            remove: str | None = None) -> np.ndarray:
+def predict(params: dict[str, np.ndarray], cfg: ModelConfig,
+            x: np.ndarray) -> np.ndarray:
     """Argmax class predictions for (N, F, 2f, C), INFERENCE_BATCH per forward."""
     x = _check_input(cfg, x)
     out = np.empty(x.shape[0], dtype=np.int64)
     for lo in range(0, x.shape[0], INFERENCE_BATCH):
         hi = lo + INFERENCE_BATCH
-        logits, _ = forward(Tape(), wrap_params(params), cfg, x[lo:hi], remove)
+        logits, _ = forward(Tape(), wrap_params(params), cfg, x[lo:hi])
         out[lo:hi] = np.argmax(logits.data, axis=-1)
     return out
 
 
 def forward_flops(cfg: ModelConfig) -> int:
-    """2 x multiply-adds of every matmul in one single-sample forward pass."""
+    """2 x multiply-adds of every matmul one single-sample forward runs."""
     tape = Tape()
     x = np.zeros((1, cfg.frames, cfg.feature_dim, cfg.channels))
     forward(tape, wrap_params(init_params(cfg)), cfg, x)

@@ -7,6 +7,7 @@ Run: pytest tests/test_acceptance.py -s -v
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -106,8 +107,8 @@ def test_criterion_3_shape_and_invariant_suite(tmp_path):
     cfg_long = ModelConfig(channels=8, bands=4, frames=12, classes=3, seed=9)
     share_ok = set(init_params(cfg_long)) == set(params)
 
-    ablated, _ = forward(Tape(), wrap_params(params), cfg, x,
-                         remove="temporal")
+    ablated, _ = forward(Tape(), wrap_params(params),
+                         replace(cfg, ablate="temporal"), x)
     zeroed = {k: v.copy() for k, v in params.items()}
     zeroed["temporal.score.w"][...] = 0.0
     full, _ = forward(Tape(), wrap_params(zeroed), cfg, x)
@@ -178,7 +179,7 @@ def test_criterion_5_synthetic_generalization():
     started = time.perf_counter()
     planted_fs = build_featureset(default_synth_spec(seed=1))   # K=3, C=16
     cfg = experiment(seed=0, folds=5, epochs=30)
-    planted_report = train(cfg, planted_fs, save_artifacts=False)
+    planted_report = train(cfg, planted_fs)
 
     # same dataset shape and training protocol, signal amplitude zeroed
     chance_spec = default_synth_spec(
@@ -186,7 +187,7 @@ def test_criterion_5_synthetic_generalization():
             p.__class__(p.class_index, p.channels, p.lo_hz, p.hi_hz, 0.0)
             for p in default_synth_spec().planted))
     chance_fs = build_featureset(chance_spec)
-    chance_report = train(cfg, chance_fs, save_artifacts=False)
+    chance_report = train(cfg, chance_fs)
     elapsed = time.perf_counter() - started
 
     planted_ok = planted_report.mean_accuracy >= 0.90
@@ -220,10 +221,10 @@ def test_criterion_6_ablation_ordering():
     for seed in seeds:
         fs = build_featureset(band_planted_spec(seed))
         cfg = experiment(seed=seed, folds=2, epochs=20)
-        accs = {"full": train(cfg, fs, save_artifacts=False).mean_accuracy}
+        accs = {"full": train(cfg, fs).mean_accuracy}
         for remove in ("spectral", "spatial", "temporal"):
-            accs[remove] = train(cfg, fs, remove=remove,
-                                 save_artifacts=False).mean_accuracy
+            accs[remove] = train(replace(cfg, model={"ablate": remove}),
+                                 fs).mean_accuracy
         drops = {k: accs["full"] - v for k, v in accs.items() if k != "full"}
         largest = max(drops, key=drops.get)
         spectral_largest += largest == "spectral"
@@ -269,11 +270,11 @@ def test_criterion_7_attribution_recovery():
     # retraining comparison on one fixed seed's ranking
     fs = build_featureset(default_synth_spec(trials_per_class=15, seed=1))
     cfg = experiment(seed=1, folds=5, epochs=25)
-    full_acc = train(cfg, fs, save_artifacts=False).mean_accuracy
+    full_acc = train(cfg, fs).mean_accuracy
     reduced_values, _ = select_channels(fs.values, rankings[1], 4)
     reduced_fs = FeatureSet(reduced_values, fs.labels, fs.metas, fs.bands,
                             [fs.channels[i] for i in rankings[1][:4]])
-    reduced_acc = train(cfg, reduced_fs, save_artifacts=False).mean_accuracy
+    reduced_acc = train(cfg, reduced_fs).mean_accuracy
     drop = full_acc - reduced_acc
     drop_ok = drop <= 0.05
 

@@ -112,9 +112,9 @@ def test_rank_channels_matches_per_sample_oracle():
 def test_no_inference_forward_exceeds_the_chunk(monkeypatch):
     sizes = []
 
-    def recording_forward(tape, p, cfg, x, remove=None):
+    def recording_forward(tape, p, cfg, x):
         sizes.append(len(x))
-        return forward(tape, p, cfg, x, remove)
+        return forward(tape, p, cfg, x)
 
     monkeypatch.setattr(attribution, "forward", recording_forward)
     monkeypatch.setattr(model, "forward", recording_forward)

@@ -2,6 +2,7 @@
 
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -56,6 +57,15 @@ def test_checkpoint_extra_header_fields(tmp_path):
                     extra={"fold": 2, "ablate": "spatial"})
     _, _, extra = load_checkpoint(path)
     assert extra == {"fold": 2, "ablate": "spatial"}
+
+
+def test_checkpoint_config_carries_ablate(tmp_path):
+    path = tmp_path / "m.amdw"
+    save_checkpoint(path, init_params(CFG), replace(CFG, ablate="spatial"))
+    assert load_checkpoint(path)[1].ablate == "spatial"
+    # a header written before the field existed loads as the full model
+    _edit_header(path, lambda h: h["config"].pop("ablate"))
+    assert load_checkpoint(path)[1] == CFG
 
 
 def test_checkpoint_bad_magic_rejected(tmp_path):
@@ -116,6 +126,10 @@ MALFORMED = {
         p, lambda h: h["config"].update(depth=3)),
     "string_channel_count": lambda p: _edit_header(
         p, lambda h: h["config"].update(channels="4")),
+    "unknown_ablated_block": lambda p: _edit_header(
+        p, lambda h: h["config"].update(ablate="classifier")),
+    "extra_not_an_object": lambda p: _edit_header(
+        p, lambda h: h.update(extra=[1])),
 }
 
 

@@ -5,6 +5,9 @@ import json
 import pytest
 
 from amdet.cli import main
+from amdet.data import read_features, write_features
+from amdet.features import SampleTensor
+from amdet.harness import kfold_split
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +165,9 @@ def test_config_file_with_set_override(workdir, capsys):
     ('optimizer.lr="fast"', "lr"),
     ("optimizer=3", "optimizer"),
     ('model.channels="4"', "channels"),
+    ('model.ablate="classifier"', "ablate"),
+    ('ablate="spatial"', "ablate"),
+    ("optimizer.grad_clip=1.0", "grad_clip"),
 ])
 def test_bad_config_field_exit_code_2(pipeline, override, named, capsys):
     assert main(["train", "--features", str(pipeline / "feat"),
@@ -177,6 +183,57 @@ def test_config_file_must_be_an_object(workdir, capsys):
     assert main(["train", "--features", str(workdir / "feat"),
                  "--out", str(workdir / "x"), "--config", str(config)]) == 2
     assert "must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override, named", [
+    ("sample_second=2.0", "sample_second"),
+    ('sample_seconds="x"', "sample_seconds"),
+    ('binarize_threshold="x"', "binarize_threshold"),
+    ("frame_seconds=0", "frame_seconds"),
+    ('bands=[{"name": "a"}]', "bands"),
+    ('bands=[{"name": "a", "lo_hz": "x", "hi_hz": 8}]', "lo_hz"),
+    ('normalize="no"', "normalize"),
+])
+def test_bad_preprocess_config_exit_code_2(pipeline, override, named, capsys):
+    out = pipeline / "badprep"
+    assert main(["preprocess", "--recording", str(pipeline / "rec"),
+                 "--out", str(out), "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and named in err
+    assert not out.with_suffix(".json").exists()
+
+
+def test_eval_rejects_config_keys(pipeline, capsys):
+    assert main(["eval", "--checkpoint", str(pipeline / "run" / "fold0.amdw"),
+                 "--features", str(pipeline / "feat"),
+                 "--set", 'remove="spatial"']) == 2
+    assert "remove" in capsys.readouterr().err
+
+
+def test_ablated_checkpoint_evaluates_as_trained(pipeline, capsys):
+    run = pipeline / "nospatial"
+    assert main(["ablate", "--features", str(pipeline / "feat"),
+                 "--out", str(run), "--remove", "spatial",
+                 "--set", "folds=2", "--set", "epochs=1",
+                 "--set", "optimizer.batch_size=8"]) == 0
+    report = json.loads((run / "report.json").read_text())
+    assert report["ablate"] == "spatial"
+    # fold 0's test samples, as train split them (seed 0, segment mode)
+    fs = read_features(pipeline / "feat")
+    _, test = kfold_split(fs.n_samples, 2, "segment", 0)[0]
+    write_features(pipeline / "fold0_test",
+                   [SampleTensor(fs.values[i], int(fs.labels[i]))
+                    for i in test], fs.bands)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(run / "fold0.amdw"),
+                 "--features", str(pipeline / "fold0_test")]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["accuracy"] == report["fold_accuracies"][0]
+    assert main(["attribute", "--checkpoint", str(run / "fold0.amdw"),
+                 "--features", str(pipeline / "feat"),
+                 "--out", str(pipeline / "attrib_ablated")]) == 2
+    assert "spatial" in capsys.readouterr().err
+    assert not (pipeline / "attrib_ablated").exists()
 
 
 def test_attribute_rejects_config_keys(pipeline, capsys):

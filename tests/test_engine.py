@@ -6,8 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from amdet.engine import (AdamW, OptimizerConfig, Tape, Tensor, _unbroadcast,
-                          schedule_lr)
+from amdet.engine import AdamW, OptimizerConfig, Tape, Tensor, _unbroadcast
 from amdet.errors import DataError, NumericalError
 
 from conftest import central_diff_grad, rel_err
@@ -353,18 +352,3 @@ def test_adamw_weight_decay_shrinks_params():
     opt.step(params, {"w": np.zeros(1)})
     assert params["w"][0] < 100.0
 
-
-def test_adamw_grad_clip():
-    params = {"w": np.zeros(4)}
-    cfg = OptimizerConfig(lr=1e-3, grad_clip=1.0, weight_decay=0.0)
-    opt = AdamW(params, cfg)
-    opt.step(params, {"w": np.full(4, 100.0)})   # clipped direction only
-    assert np.all(np.isfinite(params["w"]))
-
-
-def test_lr_schedule():
-    cfg = OptimizerConfig(lr=1.0, lr_schedule="cosine")
-    assert schedule_lr(cfg, 0, 10) == pytest.approx(1.0)
-    assert schedule_lr(cfg, 9, 10) == pytest.approx(0.0, abs=1e-12)
-    const = OptimizerConfig(lr=0.5)
-    assert schedule_lr(const, 3, 10) == 0.5

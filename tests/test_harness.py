@@ -1,6 +1,8 @@
 """Experiment drivers: splits, training reports, ablation, counting, sweeps."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,7 +144,7 @@ def test_train_deterministic_rerun(run_once):
     fs, config, report, _ = run_once
     rerun_cfg = ExperimentConfig.from_dict(config.to_dict())
     rerun_cfg.out_dir = ""
-    rerun = train(rerun_cfg, fs, save_artifacts=False)
+    rerun = train(rerun_cfg, fs)
     assert rerun.fold_accuracies == report.fold_accuracies
     assert rerun.loss_curves == report.loss_curves
 
@@ -155,7 +157,7 @@ def test_train_divergence_aborts_with_fold_diagnostic():
     # the NumericalError; keep them out of the test log
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError, match="fold 0"):
-            train(config, fs, save_artifacts=False)
+            train(config, fs)
 
 
 def test_evaluate_confusion_rows():
@@ -204,25 +206,28 @@ def test_evaluate_rejects_label_count_mismatch(rng):
 
 def test_ablate_report_schema_matches_train(run_once):
     fs, _, report, _ = run_once
-    ablated = train(tiny_config(), fs, remove="temporal",
-                    save_artifacts=False)
+    ablated = train(tiny_config(model={"ablate": "temporal"}), fs)
     assert set(ablated.to_dict()) == set(report.to_dict())
     assert ablated.ablate == "temporal"
+    # same parameters; the FLOPs are those of the forward that ran
+    assert ablated.n_params == report.n_params
+    assert ablated.flops_per_forward < report.flops_per_forward
 
 
 def test_ablate_rejects_unknown_block():
     fs = tiny_featureset()
     with pytest.raises(DataError):
-        train(tiny_config(), fs, remove="classifier", save_artifacts=False)
+        train(tiny_config(model={"ablate": "classifier"}), fs)
 
 
 def test_unknown_ablate_in_config_rejected_before_training(monkeypatch):
     def no_fit(*args, **kwargs):
         raise AssertionError("a fold trained before the block was checked")
     monkeypatch.setattr(harness, "fit", no_fit)
-    config = ExperimentConfig.from_dict({"folds": 2, "ablate": "classifier"})
+    config = ExperimentConfig.from_dict({"folds": 2,
+                                         "model": {"ablate": "classifier"}})
     with pytest.raises(DataError, match="classifier"):
-        train(config, tiny_featureset(), save_artifacts=False)
+        train(config, tiny_featureset())
 
 
 # ------------------------------------------------------------------ count
@@ -287,7 +292,7 @@ def test_reduce_channels_sweep_grid_and_csv(tmp_path):
     assert lines[0] == "k,mean,std"
     assert len(lines) == 4
     # identity ranking at k = C is the unreduced dataset: same accuracy
-    baseline = train(tiny_config(), fs, save_artifacts=False)
+    baseline = train(tiny_config(), fs)
     assert rows[0]["mean"] == pytest.approx(baseline.mean_accuracy,
                                             abs=1e-12)
 
@@ -295,8 +300,7 @@ def test_reduce_channels_sweep_grid_and_csv(tmp_path):
 def test_reduce_channels_sweep_adjusts_heads_for_odd_k(tmp_path):
     fs = tiny_featureset()
     config = tiny_config()
-    rows = reduce_channels_sweep(config, fs, list(range(8)), [3],
-                                 save_artifacts=False)
+    rows = reduce_channels_sweep(config, fs, list(range(8)), [3])
     assert rows[0]["k"] == 3     # spectral heads fall back to 1 internally
 
 
@@ -308,6 +312,16 @@ def test_experiment_config_round_trip():
     again = ExperimentConfig.from_dict(
         json.loads(json.dumps(config.to_dict())))
     assert again == config
+
+
+def test_readme_experiment_config_example_builds():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"### Experiment config.*?```json\n(.*?)```", readme,
+                      re.DOTALL).group(1)
+    example = json.loads(re.sub(r"//[^\n]*", "", block))
+    config = ExperimentConfig.from_dict(example)
+    config.model.update(channels=4, bands=2, frames=6, classes=3)
+    config.model_config()       # every model key is a ModelConfig field
 
 
 def test_experiment_config_validation():

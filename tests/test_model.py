@@ -1,6 +1,7 @@
 """Model forward: attention semantics, shapes, sharing, block identities."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -293,15 +294,15 @@ def test_forward_rejects_wrong_shape(rng):
 def test_forward_rejects_unknown_ablation(rng):
     p = toy_tensors()
     with pytest.raises(DataError):
-        forward(Tape(), p, TOY, rng.normal(size=(1, 6, 4, 4)),
-                remove="classifier")
+        forward(Tape(), p, replace(TOY, ablate="classifier"),
+                rng.normal(size=(1, 6, 4, 4)))
 
 
 def test_remove_temporal_equals_zero_score_map(rng):
     params = init_params(TOY)
     x = rng.normal(size=(3, 6, 4, 4))
-    ablated, _ = forward(Tape(), wrap_params(params), TOY, x,
-                         remove="temporal")
+    ablated, _ = forward(Tape(), wrap_params(params),
+                         replace(TOY, ablate="temporal"), x)
     zeroed = {k: v.copy() for k, v in params.items()}
     zeroed["temporal.score.w"][...] = 0.0
     full, _ = forward(Tape(), wrap_params(zeroed), TOY, x)
@@ -311,7 +312,7 @@ def test_remove_temporal_equals_zero_score_map(rng):
 def test_remove_spectral_feeds_input_to_spatial(rng):
     p = toy_tensors()
     x = rng.normal(size=(1, 6, 4, 4))
-    logits, aux = forward(Tape(), p, TOY, x, remove="spectral")
+    logits, aux = forward(Tape(), p, replace(TOY, ablate="spectral"), x)
     # spatial block then saw the raw input: recompute directly
     tape = Tape()
     z, _ = spatial_block(tape, p, TOY, Tensor(x))
@@ -324,7 +325,7 @@ def test_remove_spectral_feeds_input_to_spatial(rng):
 def test_remove_spatial_keeps_transpose_only(rng):
     p = toy_tensors()
     x = rng.normal(size=(1, 6, 4, 4))
-    _, aux = forward(Tape(), p, TOY, x, remove="spatial")
+    _, aux = forward(Tape(), p, replace(TOY, ablate="spatial"), x)
     spec_out, _ = spectral_block(Tape(), p, TOY, Tensor(x))
     np.testing.assert_allclose(aux["spatial_out"].data,
                                np.swapaxes(spec_out.data, -1, -2),
