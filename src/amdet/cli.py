@@ -73,13 +73,26 @@ def _band_set(name_or_list) -> list[feat.BandSpec]:
         except TypeError as e:      # not a mapping, unknown or missing keys
             raise DataError(f"bands: each entry needs name, lo_hz and "
                             f"hi_hz: {e}") from e
-    raise UsageError(f"unknown band set {name_or_list!r}")
+    raise DataError(f"bands: unknown band set {name_or_list!r}")
 
 
-def _add_common(parser):
+def _positive_ints(text: str) -> list[int]:
+    """argparse type: comma-separated integers >= 1."""
+    try:
+        values = [int(k) for k in text.split(",")]
+    except ValueError:
+        values = []
+    if not values or min(values) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers >= 1, got {text!r}")
+    return values
+
+
+def _add_common(parser, run):
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override a config field (repeatable)")
+    parser.set_defaults(run=run)
 
 
 def build_parser() -> _Parser:
@@ -89,12 +102,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate a synthetic recording")
     p.add_argument("--out", required=True, help="output base path (EEGR v1)")
-    _add_common(p)
+    _add_common(p, cmd_synth)
 
     p = sub.add_parser("preprocess", help="recording -> feature tensors")
     p.add_argument("--recording", required=True)
     p.add_argument("--out", required=True, help="output base path (FEAT v1)")
-    _add_common(p)
+    _add_common(p, cmd_preprocess)
 
     for name, help_text in (("train", "five-fold cross-validated training"),
                             ("ablate", "train with one block removed")):
@@ -103,21 +116,21 @@ def build_parser() -> _Parser:
         p.add_argument("--out", required=True)
         if name == "ablate":
             p.add_argument("--remove", required=True, choices=ABLATABLE_BLOCKS)
-        _add_common(p)
+        _add_common(p, cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a feature file")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--features", required=True)
-    _add_common(p)
+    _add_common(p, cmd_eval)
 
     p = sub.add_parser("attribute", help="channel importance scores")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--topk", default=None,
+    p.add_argument("--topk", type=_positive_ints,
                    help="comma-separated k values for topk_<k>.json "
                         "(default: min(8, channels))")
-    _add_common(p)
+    _add_common(p, cmd_attribute)
 
     p = sub.add_parser("reduce-channels",
                        help="retrain on top-k channel subsets")
@@ -125,23 +138,19 @@ def build_parser() -> _Parser:
     p.add_argument("--scores", required=True,
                    help="channel_scores.csv from `attribute`")
     p.add_argument("--out", required=True)
-    p.add_argument("--ks", default="",
+    p.add_argument("--ks", type=_positive_ints,
                    help="comma-separated channel counts (default: full grid, "
                         "stride 4)")
-    _add_common(p)
+    _add_common(p, cmd_reduce_channels)
 
     p = sub.add_parser("count", help="parameter and FLOP accounting")
     p.add_argument("--features", help="derive model dims from this file")
-    _add_common(p)
+    _add_common(p, cmd_count)
     return parser
 
 
-def _experiment_config(args, config: dict) -> harness.ExperimentConfig:
-    config = dict(config)
-    if getattr(args, "features", None):
-        config["features"] = args.features
-    if getattr(args, "out", None):
-        config["out_dir"] = args.out
+def _experiment_config(args) -> harness.ExperimentConfig:
+    config = dict(_load_config(args), out_dir=args.out)
     if getattr(args, "remove", None):
         _set_by_path(config, "model.ablate", args.remove)
     return harness.ExperimentConfig.from_dict(config)
@@ -164,9 +173,8 @@ def _print_report(report) -> None:
 
 
 def cmd_synth(args) -> int:
-    config = _load_config(args)
-    spec = (data.SynthSpec.from_dict(config) if config
-            else data.default_synth_spec())
+    spec = data.SynthSpec.from_dict({**data.default_synth_spec().to_dict(),
+                                     **_load_config(args)})
     rec = data.synth_generate(spec)
     data.write_recording(args.out, rec)
     n = len(rec.trials)
@@ -195,8 +203,8 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = _experiment_config(args, _load_config(args))
-    fs = data.read_features(config.features)
+    config = _experiment_config(args)
+    fs = data.read_features(args.features)
     report = harness.train(config, fs)
     _print_report(report)
     return 0
@@ -221,10 +229,7 @@ def cmd_attribute(args) -> int:
     fs = data.read_features(args.features)
     report = attribution.rank_channels(params, model_cfg, fs.values,
                                        fs.labels)
-    if args.topk is None:
-        top_ks = [min(8, len(fs.channels))]
-    else:
-        top_ks = [int(k) for k in str(args.topk).split(",") if k]
+    top_ks = args.topk or [min(8, len(fs.channels))]
     attribution.write_channel_report(args.out, report, fs.channels, top_ks)
     ranked_names = [fs.channels[i] for i in report.ranking[:8]]
     print(f"wrote {args.out}/channel_scores.csv; top channels: "
@@ -233,17 +238,14 @@ def cmd_attribute(args) -> int:
 
 
 def cmd_reduce_channels(args) -> int:
-    config = _experiment_config(args, _load_config(args))
-    fs = data.read_features(config.features)
+    config = _experiment_config(args)
+    fs = data.read_features(args.features)
     ranking = attribution.read_ranking_csv(args.scores)
     if len(ranking) != fs.values.shape[-1]:
         raise DataError(
             f"ranking covers {len(ranking)} channels, features have "
             f"{fs.values.shape[-1]}")
-    if args.ks:
-        ks = [int(k) for k in args.ks.split(",")]
-    else:
-        ks = harness.default_k_grid(fs.values.shape[-1])
+    ks = args.ks or harness.default_k_grid(fs.values.shape[-1])
     rows = harness.reduce_channels_sweep(config, fs, ranking, ks)
     for row in rows:
         print(f"k={row['k']:>3d}  accuracy {row['mean']:.4f} "
@@ -252,9 +254,7 @@ def cmd_reduce_channels(args) -> int:
 
 
 def cmd_count(args) -> int:
-    config = _load_config(args)
-    exp = harness.ExperimentConfig.from_dict(
-        {k: v for k, v in config.items() if k != "features"})
+    exp = harness.ExperimentConfig.from_dict(_load_config(args))
     fs = data.read_features(args.features) if args.features else None
     model_cfg = exp.model_config(fs)
     n_params, flops = harness.count_params_flops(model_cfg)
@@ -270,21 +270,7 @@ def cmd_count(args) -> int:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.command == "synth":
-            return cmd_synth(args)
-        if args.command == "preprocess":
-            return cmd_preprocess(args)
-        if args.command in ("train", "ablate"):
-            return cmd_train(args)
-        if args.command == "eval":
-            return cmd_eval(args)
-        if args.command == "attribute":
-            return cmd_attribute(args)
-        if args.command == "reduce-channels":
-            return cmd_reduce_channels(args)
-        if args.command == "count":
-            return cmd_count(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.run(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

@@ -14,12 +14,13 @@ trial carries signal somewhere while many individual frames stay silent.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_numbers
 from .features import BandSpec, RawRecording, SampleTensor, Trial
 
 
@@ -37,12 +38,18 @@ class PlantedSignal:
     amplitude: float
 
     def __post_init__(self):
+        object.__setattr__(self, "channels", tuple(self.channels))
+        if not self.channels:
+            raise DataError("planted signal needs at least one channel")
+        check_numbers("planted", numbers.Integral, class_index=self.class_index,
+                      **{f"channels[{i}]": ch
+                         for i, ch in enumerate(self.channels)})
+        check_numbers("planted", numbers.Real, lo_hz=self.lo_hz,
+                      hi_hz=self.hi_hz, amplitude=self.amplitude)
         if not (0 <= self.lo_hz < self.hi_hz):
             raise DataError("planted band needs 0 <= lo < hi")
         if self.amplitude < 0:
             raise DataError("planted amplitude must be >= 0")
-        if not self.channels:
-            raise DataError("planted signal needs at least one channel")
 
 
 @dataclass(frozen=True)
@@ -58,6 +65,14 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_numbers("synth", numbers.Integral, n_classes=self.n_classes,
+                      channels=self.channels,
+                      trials_per_class=self.trials_per_class, seed=self.seed)
+        check_numbers("synth", numbers.Real,
+                      sample_rate_hz=self.sample_rate_hz,
+                      trial_seconds=self.trial_seconds,
+                      noise_scale=self.noise_scale,
+                      baseline_seconds=self.baseline_seconds)
         if self.n_classes < 2 or self.channels < 1:
             raise DataError("need n_classes >= 2 and channels >= 1")
         if self.sample_rate_hz <= 0 or self.trial_seconds <= 0:
@@ -66,9 +81,13 @@ class SynthSpec:
             raise DataError("trials_per_class must be >= 1")
         if self.noise_scale <= 0:
             raise DataError("noise_scale must be positive")
+        if self.baseline_seconds < 0:
+            raise DataError("baseline_seconds must be >= 0")
+        if self.seed < 0:
+            raise DataError("seed must be >= 0")
         nyquist = self.sample_rate_hz / 2
         for sig in self.planted:
-            if sig.class_index >= self.n_classes:
+            if not 0 <= sig.class_index < self.n_classes:
                 raise DataError(f"planted class {sig.class_index} out of range")
             if max(sig.channels) >= self.channels or min(sig.channels) < 0:
                 raise DataError(f"planted channels {sig.channels} out of range")
@@ -83,16 +102,11 @@ class SynthSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "SynthSpec":
         d = dict(d)
-        try:
-            planted = tuple(
-                PlantedSignal(class_index=s["class_index"],
-                              channels=tuple(s["channels"]),
-                              lo_hz=s["lo_hz"], hi_hz=s["hi_hz"],
-                              amplitude=s["amplitude"])
-                for s in d.pop("planted", ()))
+        try:        # not a mapping, unknown or missing keys
+            planted = tuple(PlantedSignal(**s) for s in d.pop("planted", ()))
             return cls(planted=planted, **d)
-        except (KeyError, TypeError) as e:
-            raise DataError(f"bad synth spec: {e!r}") from e
+        except TypeError as e:
+            raise DataError(f"bad synth spec: {e}") from e
 
 
 def default_synth_spec(**overrides) -> SynthSpec:

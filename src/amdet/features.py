@@ -4,9 +4,10 @@ The pipeline works on one (samples, F, C, L) array per trial: cut the trial
 into fixed-length samples made of short frames, take one rfft per frame, and
 read every band's mean power (PSD) and differential entropy (DE) off it by
 Parseval, as if each frame had been band-limited by an ideal FFT filter.
-Then optionally subtract the trial's per-band baseline DE (computed once per
-trial) and z-score each sample over all of its elements. band_component is
-that ideal filter written out; it is kept as the reference for the values.
+A trial that carries a baseline range then has its per-band baseline DE
+(computed once per trial) subtracted from its DE rows, and every sample is
+z-scored over all of its elements. band_component is that ideal filter
+written out; it is kept as the reference for the values.
 """
 
 from __future__ import annotations
@@ -252,13 +253,12 @@ def band_features(frames: np.ndarray,
 
 def baseline_subtract(values: np.ndarray, baseline: np.ndarray,
                       bands: tuple[BandSpec, ...] | list[BandSpec],
-                      sample_rate_hz: float,
-                      include_psd: bool = False) -> np.ndarray:
+                      sample_rate_hz: float) -> np.ndarray:
     """Subtract the baseline's mean per-(band, channel) DE from the DE rows.
 
     ``values`` is (..., F, 2f, C) from band_features, e.g. every sample of
     one trial; ``baseline`` is raw frames (F_b, C, frame_len), featurized
-    once for all of them. PSD rows are left alone unless include_psd is set.
+    once for all of them. PSD rows are left alone.
     """
     if baseline.ndim != 3 or baseline.shape[0] < 1:
         raise DataError("baseline must be (frames, channels, points) with >= 1 frame")
@@ -267,8 +267,7 @@ def baseline_subtract(values: np.ndarray, baseline: np.ndarray,
             f"baseline has {baseline.shape[1]} channels, values have "
             f"{values.shape[-1]}")
     shift = band_features(baseline, bands, sample_rate_hz).mean(axis=0)
-    if not include_psd:
-        shift[len(bands):] = 0.0
+    shift[len(bands):] = 0.0
     return values - shift
 
 
@@ -297,34 +296,22 @@ def binarize_labels(rec: RawRecording, threshold: float = 5.0) -> RawRecording:
 def extract_features(rec: RawRecording,
                      bands: tuple[BandSpec, ...] | list[BandSpec],
                      sample_seconds: float = 3.0,
-                     frame_seconds: float = 0.5,
-                     subtract_baseline: bool = True,
-                     baseline_psd: bool = False,
-                     normalize: bool = True) -> list[SampleTensor]:
+                     frame_seconds: float = 0.5) -> list[SampleTensor]:
     """Full preprocessing for one recording, one trial array at a time.
 
-    Baseline subtraction applies only to trials that carry a baseline range
-    (and only when subtract_baseline is set).
+    A trial's DE rows are baseline-corrected exactly when the trial carries
+    a baseline range; every sample is then z-scored.
     """
     check_numbers("preprocess", numbers.Real, sample_seconds=sample_seconds,
                   frame_seconds=frame_seconds)
-    for name, flag in {"subtract_baseline": subtract_baseline,
-                       "baseline_psd": baseline_psd,
-                       "normalize": normalize}.items():
-        if not isinstance(flag, bool):
-            raise DataError(f"preprocess: {name} must be true or false, "
-                            f"got {flag!r}")
     out = []
     fs = rec.sample_rate_hz
     for ti, (trial, frames) in enumerate(
             zip(rec.trials, segment(rec, sample_seconds, frame_seconds))):
         values = band_features(frames, bands, fs)
-        if subtract_baseline and trial.has_baseline:
+        if trial.has_baseline:
             values = baseline_subtract(
-                values, baseline_frames(rec, trial, frame_seconds), bands, fs,
-                include_psd=baseline_psd)
-        if normalize:
-            values = zscore(values)
+                values, baseline_frames(rec, trial, frame_seconds), bands, fs)
         out += [SampleTensor(v, trial.label, {"trial": ti, "segment": si})
-                for si, v in enumerate(values)]
+                for si, v in enumerate(zscore(values))]
     return out

@@ -30,7 +30,6 @@ K_GRID_STRIDE = 4
 
 @dataclass
 class ExperimentConfig:
-    features: str = ""
     out_dir: str = ""
     seed: int = 0
     folds: int = 5

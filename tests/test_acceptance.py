@@ -39,7 +39,7 @@ def build_featureset(spec) -> FeatureSet:
 
 def experiment(seed, folds, epochs, batch_size=16):
     return ExperimentConfig(
-        features="", out_dir="", seed=seed, folds=folds, epochs=epochs,
+        out_dir="", seed=seed, folds=folds, epochs=epochs,
         optimizer=OptimizerConfig(lr=1e-3, weight_decay=1e-6,
                                   batch_size=batch_size))
 

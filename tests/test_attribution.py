@@ -212,8 +212,8 @@ def test_planted_channels_recovered(rng):
     fs = FeatureSet(np.stack([s.values for s in samples]),
                     np.array([s.label for s in samples]),
                     [s.meta for s in samples], list(DEAP_BANDS))
-    exp = ExperimentConfig(features="", out_dir="", seed=2, folds=5,
-                           epochs=15, optimizer=OptimizerConfig())
+    exp = ExperimentConfig(out_dir="", seed=2, folds=5, epochs=15,
+                           optimizer=OptimizerConfig())
     mcfg = exp.model_config(fs, seed=2)
     params, _ = fit(fs.values, fs.labels, mcfg, exp.optimizer, 15, 2)
     report = rank_channels(params, mcfg, fs.values, fs.labels)

@@ -1,11 +1,15 @@
 """CLI: full pipeline end to end on a tiny dataset, plus exit-code contract."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from amdet.cli import main
-from amdet.data import read_features, write_features
+from amdet.cli import build_parser, main
+from amdet.data import (default_synth_spec, read_features, synth_generate,
+                        write_features, write_recording)
 from amdet.features import SampleTensor
 from amdet.harness import kfold_split
 
@@ -168,6 +172,7 @@ def test_config_file_with_set_override(workdir, capsys):
     ('model.ablate="classifier"', "ablate"),
     ('ablate="spatial"', "ablate"),
     ("optimizer.grad_clip=1.0", "grad_clip"),
+    ('features="x"', "features"),
 ])
 def test_bad_config_field_exit_code_2(pipeline, override, named, capsys):
     assert main(["train", "--features", str(pipeline / "feat"),
@@ -193,6 +198,9 @@ def test_config_file_must_be_an_object(workdir, capsys):
     ('bands=[{"name": "a"}]', "bands"),
     ('bands=[{"name": "a", "lo_hz": "x", "hi_hz": 8}]', "lo_hz"),
     ('normalize="no"', "normalize"),
+    ("subtract_baseline=false", "subtract_baseline"),
+    ("baseline_psd=true", "baseline_psd"),
+    ("bands=5", "bands"),
 ])
 def test_bad_preprocess_config_exit_code_2(pipeline, override, named, capsys):
     out = pipeline / "badprep"
@@ -244,3 +252,70 @@ def test_attribute_rejects_config_keys(pipeline, capsys):
                  "--set", 'target_layer="spatial"']) == 2
     assert "target_layer" in capsys.readouterr().err
     assert not (pipeline / "attrib_cfg").exists()
+
+
+def test_synth_set_keeps_default_planted_signatures(tmp_path):
+    # the README's walkthrough command: --set overrides one field of the
+    # default spec, it does not drop the default planted signatures
+    assert main(["synth", "--out", str(tmp_path / "cli"),
+                 "--set", "seed=7"]) == 0
+    write_recording(tmp_path / "lib", synth_generate(default_synth_spec(seed=7)))
+    for ext in (".json", ".f32"):
+        assert (tmp_path / f"cli{ext}").read_bytes() == \
+            (tmp_path / f"lib{ext}").read_bytes()
+
+
+PLANTED = '{"class_index":0,"channels":[0],"lo_hz":8,"hi_hz":14,"amplitude":2.0'
+
+
+@pytest.mark.parametrize("override, named", [
+    ("channels=16.5", "channels"),
+    ("trials_per_class=2.5", "trials_per_class"),
+    ("n_classes=2.0", "n_classes"),
+    ('seed="x"', "seed"),
+    ("seed=-1", "seed"),
+    ("baseline_seconds=-1", "baseline_seconds"),
+    ("planted=[" + PLANTED.replace("[0]", "[1.5]") + "}]", "channels"),
+    ("planted=[" + PLANTED.replace(":0,", ":0.5,") + "}]", "class_index"),
+    ("planted=[" + PLANTED + ',"colour":1}]', "colour"),
+    ("planted=[" + PLANTED.replace(',"amplitude":2.0', "") + "}]",
+     "amplitude"),
+])
+def test_bad_synth_config_exit_code_2(tmp_path, override, named, capsys):
+    assert main(["synth", "--out", str(tmp_path / "rec"),
+                 "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and named in err
+    assert not (tmp_path / "rec.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["attribute", "--checkpoint", "m.amdw", "--features", "f", "--out", "a",
+     "--topk", "x"],
+    ["attribute", "--checkpoint", "m.amdw", "--features", "f", "--out", "a",
+     "--topk", "4,0"],
+    ["reduce-channels", "--features", "f", "--scores", "s.csv", "--out", "a",
+     "--ks", "a"],
+    ["reduce-channels", "--features", "f", "--scores", "s.csv", "--out", "a",
+     "--ks", "8,-4"],
+])
+def test_bad_k_list_is_a_usage_error_before_any_work(argv, monkeypatch,
+                                                     capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the arguments were checked")
+    monkeypatch.setattr("amdet.attribution.rank_channels", never)
+    monkeypatch.setattr("amdet.data.read_features", never)
+    assert main(argv) == 1
+    assert "integers >= 1" in capsys.readouterr().err
+
+
+def test_readme_walkthrough_commands_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI walkthrough\s*```\n(.*?)```", readme,
+                      re.DOTALL).group(1)
+    lines = [shlex.split(line, comments=True)
+             for line in block.replace("\\\n", " ").splitlines()]
+    commands = [words[1:] for words in lines if words[:1] == ["amdet"]]
+    assert len(commands) == 8
+    for argv in commands:
+        assert callable(build_parser().parse_args(argv).run), argv

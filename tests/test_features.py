@@ -322,16 +322,6 @@ def test_baseline_subtracts_mean_de_and_keeps_psd():
     np.testing.assert_array_equal(values[:, 2:, :], out[:, 2:, :])
 
 
-def test_baseline_include_psd_shifts_psd_rows():
-    rng = np.random.default_rng(12)
-    base = rng.normal(size=(3, 2, 100))
-    values = np.zeros((5, 4, 2, 2))           # (samples, F, 2f, C)
-    out = baseline_subtract(values, base, [ALPHA], FS, include_psd=True)
-    expected = -oracle_features(base, [ALPHA], FS).mean(axis=0)
-    np.testing.assert_allclose(out, np.broadcast_to(expected, out.shape),
-                               rtol=1e-12)
-
-
 def test_baseline_constant_offset_example():
     # trial DE 1.5 everywhere vs baseline DE 1.0 everywhere -> stored DE 0.5
     values = np.full((2, 2, 1), 1.5)
@@ -421,30 +411,36 @@ def test_extract_features_end_to_end():
         assert np.all(np.isfinite(s.values))
 
 
-def two_trial_recording(fs=128.0, n_channels=3, seed=6):
-    """Trials of 2.3 s and 3.1 s with 1 s baselines before each."""
+def two_trial_recording(fs=128.0, n_channels=3, seed=6,
+                        second_baseline=True):
+    """Trials of 2.3 s and 3.1 s with 1 s baselines before each (or before
+    only the first, the second's span left unused)."""
     rng = np.random.default_rng(seed)
     data = rng.normal(size=(n_channels, int(8 * fs))) + 2.0
     s = lambda seconds: int(seconds * fs)
+    second = (s(3.3), s(4.3)) if second_baseline else ()
     trials = [Trial(s(1.0), s(3.3), 1, 0, s(1.0)),
-              Trial(s(4.3), s(7.4), 0, s(3.3), s(4.3))]
+              Trial(s(4.3), s(7.4), 0, *second)]
     return RawRecording(fs, [f"ch{i}" for i in range(n_channels)], data,
                         trials)
 
 
-@pytest.mark.parametrize("baseline_psd", [False, True])
-def test_extract_features_matches_per_sample_oracle(baseline_psd):
-    rec = two_trial_recording()
+@pytest.mark.parametrize("second_baseline", [True, False],
+                         ids=["both_baselines", "first_baseline_only"])
+def test_extract_features_matches_per_sample_oracle(second_baseline):
+    rec = two_trial_recording(second_baseline=second_baseline)
     fs, bands, frame_len = rec.sample_rate_hz, DEAP_BANDS, 32
     out = extract_features(rec, bands, sample_seconds=1.0,
-                           frame_seconds=0.25, baseline_psd=baseline_psd)
+                           frame_seconds=0.25)
     expected = []
     for ti, trial in enumerate(rec.trials):
-        base = rec.data[:, trial.baseline_start:trial.baseline_end]
-        base_frames = np.stack([base[:, i:i + frame_len]
-                                for i in range(0, base.shape[1], frame_len)])
-        shift = oracle_features(base_frames, bands, fs).mean(axis=0)
-        if not baseline_psd:
+        shift = 0.0                 # only a trial with a baseline is shifted
+        if trial.has_baseline:
+            base = rec.data[:, trial.baseline_start:trial.baseline_end]
+            base_frames = np.stack([
+                base[:, i:i + frame_len]
+                for i in range(0, base.shape[1], frame_len)])
+            shift = oracle_features(base_frames, bands, fs).mean(axis=0)
             shift[len(bands):] = 0.0
         for si in range((trial.end - trial.start) // (4 * frame_len)):
             lo = trial.start + si * 4 * frame_len

@@ -39,7 +39,7 @@ def tiny_featureset(seed=0, trials_per_class=4, trial_seconds=6.0):
 
 
 def tiny_config(**overrides):
-    base = dict(features="", out_dir="", seed=0, folds=2, epochs=2,
+    base = dict(out_dir="", seed=0, folds=2, epochs=2,
                 optimizer=OptimizerConfig(batch_size=8))
     base.update(overrides)
     return ExperimentConfig(**base)
