@@ -53,7 +53,8 @@ def grad_cam_channels(params: dict[str, np.ndarray], cfg: ModelConfig,
                         f"values from {classes.min()} to {classes.max()}")
     tape = Tape()
     logits, aux = forward(tape, wrap_params(params), cfg, samples)
-    onehot = Tensor(np.eye(cfg.classes)[classes], name="onehot")
+    onehot = Tensor(np.eye(cfg.classes, dtype=logits.data.dtype)[classes],
+                    name="onehot")
     tape.backward(tape.sum_all(tape.mul(logits, onehot)))
     act, grad = aux["input"].data, aux["input"].grad
     if not (np.all(np.isfinite(act)) and np.all(np.isfinite(grad))):
@@ -66,7 +67,7 @@ def grad_cam_channels(params: dict[str, np.ndarray], cfg: ModelConfig,
 def rank_channels(params: dict[str, np.ndarray], cfg: ModelConfig,
                   values: np.ndarray, labels: np.ndarray) -> ChannelReport:
     """Mean per-channel score over samples, each conditioned on its true class."""
-    values = np.asarray(values, dtype=np.float64)
+    values = np.asarray(values)
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     if values.ndim != 4 or values.shape[0] == 0:
         raise DataError("rank_channels needs a non-empty (N, F, 2f, C) array")

@@ -3,7 +3,9 @@
 Layout: 4-byte magic "AMDW", uint32 little-endian header length, the UTF-8
 JSON header {version, config, param_index:[{name, shape, offset}]}, then the
 payload. Offsets are byte positions within the payload. Weights are stored as
-32-bit floats, so save -> load -> save reproduces the file byte for byte.
+32-bit floats, the dtype the model computes in, so a reloaded model computes
+the logits of the saved one bit for bit, and save -> load -> save reproduces
+the file byte for byte.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ def save_checkpoint(path: str | Path, params: dict[str, np.ndarray],
 
 def load_checkpoint(path: str | Path
                     ) -> tuple[dict[str, np.ndarray], ModelConfig, dict]:
-    """Returns (params as float64 arrays, config, extra header fields).
+    """Returns (params as float32 arrays, exactly as stored, config, extra
+    header fields).
 
     The parameter index must name exactly the parameters, with the shapes,
     that `init_params(config)` makes, at non-negative integer offsets inside
@@ -108,7 +111,7 @@ def load_checkpoint(path: str | Path
         if not np.all(np.isfinite(arr)):
             raise DataError(f"{path}: parameter {name!r} has non-finite "
                             "weights")
-        params[name] = arr.astype(np.float64)
+        params[name] = arr.astype(np.float32)
     missing = sorted(expected.keys() - params.keys())
     if missing:
         raise DataError(f"{path}: checkpoint lacks parameters {missing}")

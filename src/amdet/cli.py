@@ -88,6 +88,13 @@ def _positive_ints(text: str) -> list[int]:
     return values
 
 
+def _check_ks(ks: list[int], channels: int) -> None:
+    """Every k must name a channel count the features have."""
+    for k in ks:
+        if k > channels:
+            raise DataError(f"k={k} out of range 1..{channels}")
+
+
 def _add_common(parser, run):
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--set", action="append", metavar="KEY=VALUE",
@@ -227,9 +234,10 @@ def cmd_attribute(args) -> int:
         raise DataError(f"attribution requires a full model, this one has "
                         f"its {model_cfg.ablate} block removed")
     fs = data.read_features(args.features)
+    top_ks = args.topk or [min(8, len(fs.channels))]
+    _check_ks(top_ks, fs.values.shape[-1])
     report = attribution.rank_channels(params, model_cfg, fs.values,
                                        fs.labels)
-    top_ks = args.topk or [min(8, len(fs.channels))]
     attribution.write_channel_report(args.out, report, fs.channels, top_ks)
     ranked_names = [fs.channels[i] for i in report.ranking[:8]]
     print(f"wrote {args.out}/channel_scores.csv; top channels: "
@@ -240,12 +248,13 @@ def cmd_attribute(args) -> int:
 def cmd_reduce_channels(args) -> int:
     config = _experiment_config(args)
     fs = data.read_features(args.features)
+    ks = args.ks or harness.default_k_grid(fs.values.shape[-1])
+    _check_ks(ks, fs.values.shape[-1])
     ranking = attribution.read_ranking_csv(args.scores)
     if len(ranking) != fs.values.shape[-1]:
         raise DataError(
             f"ranking covers {len(ranking)} channels, features have "
             f"{fs.values.shape[-1]}")
-    ks = args.ks or harness.default_k_grid(fs.values.shape[-1])
     rows = harness.reduce_channels_sweep(config, fs, ranking, ks)
     for row in rows:
         print(f"k={row['k']:>3d}  accuracy {row['mean']:.4f} "

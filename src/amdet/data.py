@@ -361,7 +361,13 @@ def read_features(path: str | Path) -> FeatureSet:
     if _require(manifest, "version", manifest_path) != 1:
         raise DataError(
             f"{manifest_path}: unsupported version {manifest['version']!r}")
-    shape = tuple(_require(manifest, "shape", manifest_path))
+    shape = _require(manifest, "shape", manifest_path)
+    if not (isinstance(shape, list) and len(shape) == 3 and all(
+            isinstance(n, int) and not isinstance(n, bool) and n > 0
+            for n in shape)):
+        raise DataError(f"{manifest_path}: shape {shape!r} is not three "
+                        "positive integers (frames, 2 x bands, channels)")
+    shape = tuple(shape)
     entries = _require(manifest, "samples", manifest_path)
     stride = int(np.prod(shape)) * 4
     raw = payload_path.read_bytes()
@@ -386,7 +392,7 @@ def read_features(path: str | Path) -> FeatureSet:
     except (KeyError, TypeError, ValueError) as e:
         raise DataError(f"{manifest_path}: malformed manifest: {e!r}") from e
     values = np.frombuffer(raw, dtype="<f4").reshape(
-        (len(entries),) + shape).astype(np.float64)
+        (len(entries),) + shape).astype(np.float32)
     if not np.all(np.isfinite(values)):
         raise DataError(f"{payload_path}: payload contains non-finite values")
     return FeatureSet(values, labels, metas, bands,

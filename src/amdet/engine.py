@@ -37,12 +37,16 @@ Array = np.ndarray
 
 class Tensor:
     """A value recorded on a tape. Holds the forward array and, after
-    ``Tape.backward``, the gradient of the differentiated scalar w.r.t. it."""
+    ``Tape.backward``, the gradient of the differentiated scalar w.r.t. it.
+
+    A floating array keeps its dtype, so ops compute in the dtype of their
+    inputs; anything else (Python numbers, integers) becomes float64."""
 
     __slots__ = ("data", "grad", "name")
 
     def __init__(self, data, name: str = "tensor"):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.grad: Array | None = None
         self.name = name
 
@@ -245,8 +249,7 @@ class Tape:
         m = z.max(axis=-1, keepdims=True)
         lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=-1))
         picked = z[np.arange(z.shape[0]), labels]
-        loss = float((lse - picked).mean())
-        out = Tensor(loss, "cross_entropy")
+        out = Tensor((lse - picked).mean(), "cross_entropy")
         p = np.exp(z - lse[:, None])
 
         def backward(g):
@@ -337,7 +340,7 @@ class AdamW:
     Every step uses the config's constant learning rate on the raw gradients
     (no schedule, no clipping). Updates happen in place so callers can keep
     long-lived references to the parameter arrays. Moments are keyed by
-    parameter name.
+    parameter name and have the parameters' dtype (float32 in training).
     """
 
     def __init__(self, params: dict[str, Array], config: OptimizerConfig):

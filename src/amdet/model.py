@@ -118,7 +118,8 @@ def _encoder_params(params, seed, prefix, d, hidden):
 
 
 def init_params(cfg: ModelConfig) -> dict[str, np.ndarray]:
-    """Seeded parameter dict; every tensor keyed by a stable dotted name."""
+    """Seeded float32 parameter dict; every tensor keyed by a stable dotted
+    name."""
     p: dict[str, np.ndarray] = {}
     d2f, c = cfg.feature_dim, cfg.channels
     p["spectral.pos"] = _rng_for(cfg.seed, "spectral.pos").normal(
@@ -134,7 +135,7 @@ def init_params(cfg: ModelConfig) -> dict[str, np.ndarray]:
     _linear(p, cfg.seed, "temporal.score", cfg.flat_dim, 1)
     _linear(p, cfg.seed, "classifier", cfg.flat_dim, cfg.classes,
             zero_bias=True)
-    return p
+    return {k: v.astype(np.float32) for k, v in p.items()}
 
 
 def param_count(params: dict[str, np.ndarray]) -> int:
@@ -197,8 +198,8 @@ def encoder_layer(tape: Tape, p: dict[str, Tensor], prefix: str, x: Tensor,
     return out, attns
 
 
-def _check_input(cfg: ModelConfig, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
+def _check_input(cfg: ModelConfig, x: np.ndarray, weights) -> np.ndarray:
+    x = np.asarray(x, dtype=np.result_type(*{w.dtype for w in weights}))
     if x.ndim == 3:
         x = x[None]
     if x.ndim != 4 or x.shape[1:] != (cfg.frames, cfg.feature_dim, cfg.channels):
@@ -250,7 +251,8 @@ def temporal_block(tape: Tape, p: dict[str, Tensor], cfg: ModelConfig,
     b, f = x.data.shape[0], cfg.frames
     flat = tape.reshape(x, (b, f, cfg.flat_dim))
     if cfg.ablate == "temporal":
-        weights = Tensor(np.full((b, f), 1.0 / f), name="uniform_weights")
+        weights = Tensor(np.full((b, f), 1.0 / f, dtype=x.data.dtype),
+                         name="uniform_weights")
     else:
         scores = tape.add(tape.matmul(flat, p["temporal.score.w"]),
                           p["temporal.score.b"])
@@ -267,6 +269,10 @@ def forward(tape: Tape, p: dict[str, Tensor], cfg: ModelConfig,
             x: np.ndarray) -> tuple[Tensor, dict]:
     """Full forward pass on a (B, F, 2f, C) batch; returns (logits, aux).
 
+    The pass computes in the parameters' dtype: float32 for `init_params`
+    and loaded checkpoints, float64 when a check passes float64 parameters.
+    The input is cast to that dtype.
+
     cfg.ablate drops one block for ablation runs, with the parameters kept:
     "spectral" bypasses the spectral encoder and its positional map,
     "spatial" keeps only the transpose, "temporal" pools frames uniformly.
@@ -274,7 +280,7 @@ def forward(tape: Tape, p: dict[str, Tensor], cfg: ModelConfig,
     aux carries the input (attribution reads its gradient), the spatial-block
     output, the frame weights and every attention matrix for inspection.
     """
-    data = _check_input(cfg, x)
+    data = _check_input(cfg, x, (t.data for t in p.values()))
     inp = Tensor(data, name="input")
     z, spec_attn = spectral_block(tape, p, cfg, inp)
     z, spat_attn = spatial_block(tape, p, cfg, z)
@@ -294,7 +300,7 @@ def forward(tape: Tape, p: dict[str, Tensor], cfg: ModelConfig,
 def predict(params: dict[str, np.ndarray], cfg: ModelConfig,
             x: np.ndarray) -> np.ndarray:
     """Argmax class predictions for (N, F, 2f, C), INFERENCE_BATCH per forward."""
-    x = _check_input(cfg, x)
+    x = _check_input(cfg, x, params.values())
     out = np.empty(x.shape[0], dtype=np.int64)
     for lo in range(0, x.shape[0], INFERENCE_BATCH):
         hi = lo + INFERENCE_BATCH

@@ -24,6 +24,13 @@ def rel_err(a, b, floor=1e-8):
     return float(np.max(np.abs(a - b) / denom))
 
 
+def params64(cfg):
+    """float64 copies of init_params(cfg): a forward pass on them computes in
+    float64, for checks of float64 identities."""
+    from amdet.model import init_params
+    return {k: v.astype(np.float64) for k, v in init_params(cfg).items()}
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -20,6 +20,7 @@ from amdet.features import (BandSpec, DEAP_BANDS, band_component, de,
 from amdet.harness import ExperimentConfig, count_params_flops, fit, train
 from amdet.model import (ModelConfig, forward, init_params, wrap_params)
 
+from conftest import params64
 from test_gradcheck import TOY as GRAD_TOY, max_rel_error_per_tensor
 
 PLANTED = {0, 1, 2}
@@ -93,7 +94,7 @@ def test_criterion_2_closed_form_features():
 def test_criterion_3_shape_and_invariant_suite(tmp_path):
     rng = np.random.default_rng(5)
     cfg = ModelConfig(channels=8, bands=4, frames=6, classes=3, seed=9)
-    params = init_params(cfg)
+    params = params64(cfg)       # the 1e-9 identities hold in float64
     x = rng.normal(size=(2, 6, 8, 8))
     _, aux = forward(Tape(), wrap_params(params), cfg, x)
     rows_ok = all(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import params64
 from amdet import attribution, model
 from amdet.attribution import (ChannelReport, grad_cam_channels,
                                rank_channels, read_ranking_csv,
@@ -99,7 +100,7 @@ N_ACROSS_CHUNKS = INFERENCE_BATCH + 1
 
 
 def test_rank_channels_matches_per_sample_oracle():
-    params = init_params(CFG)
+    params = params64(CFG)       # 1e-12 relative is a float64 bound
     x, y = batch_for(CFG, N_ACROSS_CHUNKS)
     oracle = np.mean([grad_cam_channels(params, CFG, x[i:i + 1], y[i:i + 1])[0]
                       for i in range(len(x))], axis=0)

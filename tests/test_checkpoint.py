@@ -10,9 +10,11 @@ import pytest
 from amdet.checkpoint import load_checkpoint, save_checkpoint
 from amdet.cli import main
 from amdet.data import write_features
+from amdet.engine import OptimizerConfig, Tape
 from amdet.errors import DataError
 from amdet.features import DEAP_BANDS, SampleTensor
-from amdet.model import ModelConfig, init_params
+from amdet.harness import fit
+from amdet.model import ModelConfig, forward, init_params, wrap_params
 
 CFG = ModelConfig(channels=4, bands=2, frames=6, classes=2, seed=3,
                   mlp_ratio=4)
@@ -26,6 +28,19 @@ def test_checkpoint_save_load_save_bitwise(tmp_path):
     loaded, cfg, extra = load_checkpoint(a)
     save_checkpoint(b, loaded, cfg, extra=extra)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_reloaded_model_computes_the_same_logits_bitwise(tmp_path):
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(8, 6, 4, 4))
+    params, _ = fit(x, np.arange(8) % 2, CFG, OptimizerConfig(batch_size=4),
+                    epochs=2, shuffle_seed=0)
+    save_checkpoint(tmp_path / "m.amdw", params, CFG)
+    loaded, cfg, _ = load_checkpoint(tmp_path / "m.amdw")
+    in_memory, _ = forward(Tape(), wrap_params(params), CFG, x)
+    reloaded, _ = forward(Tape(), wrap_params(loaded), cfg, x)
+    np.testing.assert_array_equal(reloaded.data, in_memory.data)
+    assert reloaded.data.dtype == in_memory.data.dtype == np.float32
 
 
 def test_checkpoint_values_round_trip_at_f32(tmp_path):

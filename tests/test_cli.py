@@ -5,12 +5,13 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from amdet.cli import build_parser, main
 from amdet.data import (default_synth_spec, read_features, synth_generate,
                         write_features, write_recording)
-from amdet.features import SampleTensor
+from amdet.features import DEAP_BANDS, SampleTensor
 from amdet.harness import kfold_split
 
 
@@ -114,7 +115,6 @@ def test_usage_error_exit_code_1(capsys):
 
 
 def test_numerical_failure_exit_code_3(pipeline, capsys):
-    import numpy as np
     with np.errstate(over="ignore", invalid="ignore"):
         code = main(["train", "--features", str(pipeline / "feat"),
                      "--out", str(pipeline / "diverge"),
@@ -134,6 +134,18 @@ def test_data_error_exit_code_2(workdir, capsys):
     bad.write_text("{not json")
     assert main(["synth", "--out", str(workdir / "x"),
                  "--config", str(bad)]) == 2
+    # a FEAT manifest shape that is not three positive integers
+    write_features(workdir / "shape", [SampleTensor(np.zeros((6, 8, 4)), 0),
+                                       SampleTensor(np.ones((6, 8, 4)), 1)],
+                   DEAP_BANDS)
+    manifest = json.loads((workdir / "shape.json").read_text())
+    for shape in (5, ["a"], [6.0, 8, 16], [6.0, 8, 4], [48, 4]):
+        (workdir / "shape.json").write_text(
+            json.dumps(dict(manifest, shape=shape)))
+        capsys.readouterr()
+        assert main(["count", "--features", str(workdir / "shape")]) == 2, \
+            shape
+        assert "shape" in capsys.readouterr().err
 
 
 def test_eval_negative_label_exit_code_2(pipeline, capsys):
@@ -307,6 +319,36 @@ def test_bad_k_list_is_a_usage_error_before_any_work(argv, monkeypatch,
     monkeypatch.setattr("amdet.data.read_features", never)
     assert main(argv) == 1
     assert "integers >= 1" in capsys.readouterr().err
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("ran before k was checked against the channels")
+
+
+def test_attribute_k_above_channel_count_fails_before_scoring(
+        pipeline, monkeypatch, capsys):
+    monkeypatch.setattr("amdet.attribution.rank_channels", _never)
+    out = pipeline / "attrib_k99"
+    assert main(["attribute", "--checkpoint",
+                 str(pipeline / "run" / "fold0.amdw"),
+                 "--features", str(pipeline / "feat"), "--out", str(out),
+                 "--topk", "4,99"]) == 2
+    assert "k=99 out of range 1..8" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_reduce_channels_k_above_channel_count_fails_before_training(
+        pipeline, monkeypatch, capsys):
+    monkeypatch.setattr("amdet.harness.fit", _never)
+    scores = pipeline / "scores_k99.csv"
+    scores.write_text("channel_name,score,rank\n" + "".join(
+        f"ch{c:02d},{8 - c},{c}\n" for c in range(8)))
+    out = pipeline / "sweep_k99"
+    assert main(["reduce-channels", "--features", str(pipeline / "feat"),
+                 "--scores", str(scores), "--out", str(out),
+                 "--ks", "8,99"]) == 2
+    assert "k=99 out of range 1..8" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_readme_walkthrough_commands_parse():

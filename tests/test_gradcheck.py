@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from conftest import params64
 from amdet.engine import Tape
 from amdet.model import ModelConfig, forward, init_params, wrap_params
 
@@ -48,7 +49,7 @@ def max_rel_error_per_tensor(cfg, n_coords=20, h=1e-4, seed=0):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(3, cfg.frames, cfg.feature_dim, cfg.channels))
     y = rng.integers(0, cfg.classes, size=3)
-    params = init_params(cfg)
+    params = params64(cfg)       # finite differences need float64
     grads = analytic_grads(params, cfg, x, y)
     worst: dict[str, float] = {}
     for name, arr in params.items():

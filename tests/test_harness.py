@@ -339,3 +339,38 @@ def test_model_config_requires_dims_without_features():
         config.model_config()
     config.model = {"channels": 8, "bands": 4, "frames": 6, "classes": 3}
     assert config.model_config().channels == 8
+
+
+# ---------------------------------------------------------- compute dtype
+
+
+def test_one_fit_step_computes_in_float32(monkeypatch, rng):
+    tapes, optimizers = [], []
+
+    class RecordingTape(harness.Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(self)
+
+    class RecordingAdamW(harness.AdamW):
+        def __init__(self, *args):
+            super().__init__(*args)
+            optimizers.append(self)
+
+    monkeypatch.setattr(harness, "Tape", RecordingTape)
+    monkeypatch.setattr(harness, "AdamW", RecordingAdamW)
+    cfg = ModelConfig(channels=4, bands=2, frames=6, classes=2, seed=0,
+                      mlp_ratio=4)
+    x = rng.normal(size=(8, 6, 4, 4))           # float64 in, float32 inside
+    y = np.arange(8) % 2
+    params, _ = fit(x, y, cfg, OptimizerConfig(batch_size=8), epochs=1,
+                    shuffle_seed=0)
+    (tape,), (optimizer,) = tapes, optimizers
+    produced = {id(node.out) for node in tape.nodes}
+    leaves = [t for node in tape.nodes for t in node.inputs
+              if id(t) not in produced]
+    f32 = {np.dtype(np.float32)}
+    assert {node.out.data.dtype for node in tape.nodes} == f32
+    assert {t.grad.dtype for t in leaves if t.grad is not None} == f32
+    assert {a.dtype for a in (*optimizer.m.values(), *optimizer.v.values(),
+                              *params.values())} == f32

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import params64
 from amdet.engine import Tape, Tensor
 from amdet.errors import DataError, NumericalError
 from amdet.model import (ModelConfig, classify, encoder_layer, forward,
@@ -20,6 +21,11 @@ DEAP_CFG = ModelConfig(channels=32, bands=4, frames=6, classes=2, seed=1)
 
 def toy_tensors(cfg=TOY):
     return wrap_params(init_params(cfg))
+
+
+def toy_tensors64(cfg=TOY):
+    """float64 weights, for identities checked at float64 precision."""
+    return wrap_params(params64(cfg))
 
 
 # ------------------------------------------------------------------- MHA
@@ -236,7 +242,7 @@ def test_logit_lengths_per_dataset_config(cfg, expected_k):
 
 
 def test_forward_composition_matches_chained_blocks(rng):
-    p = toy_tensors()
+    p = toy_tensors64()
     x = rng.normal(size=(2, 6, 4, 4))
     logits, _ = forward(Tape(), p, TOY, x)
 
@@ -266,13 +272,37 @@ def test_forward_deterministic(rng):
 
 
 def test_forward_attention_rows_sum_to_one(rng):
-    p = toy_tensors()
+    p = toy_tensors64()
     x = rng.normal(size=(2, 6, 4, 4))
     _, aux = forward(Tape(), p, TOY, x)
     for attn in aux["spectral_attention"] + aux["spatial_attention"]:
         np.testing.assert_allclose(attn.data.sum(axis=-1), 1.0, atol=1e-9)
     np.testing.assert_allclose(aux["temporal_weights"].data.sum(axis=-1),
                                1.0, atol=1e-9)
+
+
+def test_float32_attention_rows_and_frame_weights_sum_to_one(rng):
+    x = rng.normal(size=(2, 6, 4, 4))
+    for cfg in (TOY, replace(TOY, ablate="temporal")):
+        _, aux = forward(Tape(), toy_tensors(), cfg, x)
+        for rows in (aux["spectral_attention"] + aux["spatial_attention"]
+                     + [aux["temporal_weights"]]):
+            assert rows.data.dtype == np.float32
+            np.testing.assert_allclose(rows.data.sum(axis=-1), 1.0,
+                                       rtol=0, atol=1e-5)
+
+
+@pytest.mark.parametrize("cfg", [TOY, SEED_CFG, DEAP_CFG],
+                         ids=["toy", "seed", "deap"])
+def test_float32_logits_match_float64_forward(cfg, rng):
+    # the same float32-rounded weights and input, computed in both dtypes
+    x = rng.normal(size=(4, cfg.frames, cfg.feature_dim, cfg.channels))
+    x = x.astype(np.float32)
+    l32, _ = forward(Tape(), wrap_params(init_params(cfg)), cfg, x)
+    l64, _ = forward(Tape(), wrap_params(params64(cfg)), cfg, x)
+    assert l32.data.dtype == np.float32 and l64.data.dtype == np.float64
+    assert np.max(np.abs(l32.data - l64.data)) <= \
+        1e-4 * np.max(np.abs(l64.data))
 
 
 def test_forward_shape_pipeline(rng):
@@ -310,7 +340,7 @@ def test_remove_temporal_equals_zero_score_map(rng):
 
 
 def test_remove_spectral_feeds_input_to_spatial(rng):
-    p = toy_tensors()
+    p = toy_tensors64()
     x = rng.normal(size=(1, 6, 4, 4))
     logits, aux = forward(Tape(), p, replace(TOY, ablate="spectral"), x)
     # spatial block then saw the raw input: recompute directly
@@ -323,7 +353,7 @@ def test_remove_spectral_feeds_input_to_spatial(rng):
 
 
 def test_remove_spatial_keeps_transpose_only(rng):
-    p = toy_tensors()
+    p = toy_tensors64()
     x = rng.normal(size=(1, 6, 4, 4))
     _, aux = forward(Tape(), p, replace(TOY, ablate="spatial"), x)
     spec_out, _ = spectral_block(Tape(), p, TOY, Tensor(x))
