@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import read_json_object
 from .errors import DataError
 from .model import ModelConfig, init_params
 
@@ -67,12 +68,8 @@ def load_checkpoint(path: str | Path
     if 8 + header_len > len(raw):
         raise DataError(f"{path}: header length {header_len} exceeds the "
                         f"{len(raw)}-byte file")
-    try:
-        header = json.loads(raw[8:8 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise DataError(f"{path}: corrupt checkpoint header: {e}") from e
-    if not isinstance(header, dict):
-        raise DataError(f"{path}: checkpoint header is not a JSON object")
+    header = read_json_object(path, "checkpoint header",
+                              raw[8:8 + header_len])
     if header.get("version") != VERSION:
         raise DataError(
             f"{path}: unsupported checkpoint version {header.get('version')!r}")

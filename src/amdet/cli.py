@@ -15,7 +15,6 @@ import argparse
 import inspect
 import json
 import sys
-from pathlib import Path
 
 from . import attribution, data, features as feat, harness
 from .checkpoint import load_checkpoint
@@ -39,17 +38,8 @@ def _set_by_path(config: dict, dotted: str, value) -> None:
 
 
 def _load_config(args) -> dict:
-    config: dict = {}
-    if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.exists():
-            raise DataError(f"config file not found: {path}")
-        try:
-            config = json.loads(path.read_text())
-        except json.JSONDecodeError as e:
-            raise DataError(f"{path}: invalid JSON: {e}") from e
-        if not isinstance(config, dict):
-            raise DataError(f"{path}: config must be a JSON object")
+    config = (data.read_json_object(args.config, "config file")
+              if getattr(args, "config", None) else {})
     for item in getattr(args, "set", None) or []:
         if "=" not in item:
             raise UsageError(f"--set expects key=value, got {item!r}")

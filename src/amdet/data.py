@@ -1,9 +1,10 @@
 """Synthetic recordings with planted class signatures, and file formats.
 
-Recording files ("EEGR v1") are a JSON manifest next to a flat channel-major
-f32le binary. Feature files ("FEAT v1") are a JSON manifest next to a flat
-sample-major f32le binary. Both readers validate the manifest against the
-payload before any data is used.
+Recording files ("EEGR v1") and feature files ("FEAT v1") are a JSON manifest
+next to a flat f32le binary, channel-major and sample-major respectively. One
+reader and one writer know that layout; the readers validate the manifest
+against the payload before any data is used. `read_json_object` parses every
+JSON object the package reads: manifests, configs and checkpoint headers.
 
 The generator plants class-conditional sinusoids on chosen channels inside
 chosen frequency bands, on top of pink-noise background. The amplitude rides
@@ -14,8 +15,9 @@ trial carries signal somewhere while many individual frames stay silent.
 from __future__ import annotations
 
 import json
+import math
 import numbers
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
@@ -201,26 +203,75 @@ def synth_generate(spec: SynthSpec) -> RawRecording:
     return RawRecording(fs, channels, data, trials)
 
 
-# ----------------------------------------------------------- EEGR format
+# ---------------------------------------------------- manifest + payload
 
 
-def _base_path(path: str | Path) -> Path:
+def read_json_object(path: str | Path, what: str,
+                     raw: bytes | None = None) -> dict:
+    """The JSON object in raw, or in the file at path when raw is None; a
+    missing file, bytes that are not JSON or a value that is not an object
+    raise DataError naming path and what."""
+    if raw is None:
+        try:
+            raw = Path(path).read_bytes()
+        except FileNotFoundError as e:
+            raise DataError(f"{what} not found: {path}") from e
+    try:
+        value = json.loads(raw)
+    except ValueError as e:         # JSONDecodeError or UnicodeDecodeError
+        raise DataError(f"{path}: {what} is not valid JSON: {e}") from e
+    if not isinstance(value, dict):
+        raise DataError(f"{path}: {what} must be a JSON object, got "
+                        f"{type(value).__name__}")
+    return value
+
+
+def _pair_paths(path: str | Path) -> tuple[Path, Path]:
+    """(name.json, name.f32) for a path to name, name.json or name.f32."""
     p = Path(path)
     if p.suffix in (".json", ".f32"):
         p = p.with_suffix("")
-    return p
+    # append rather than with_suffix: names may contain dots
+    return p.parent / (p.name + ".json"), p.parent / (p.name + ".f32")
 
 
-def _sibling(base: Path, ext: str) -> Path:
-    # append rather than with_suffix: base names may contain dots
-    return base.parent / (base.name + ext)
+def _write_pair(path: str | Path, manifest: dict, payload: np.ndarray) -> None:
+    manifest_path, payload_path = _pair_paths(path)
+    manifest_path.parent.mkdir(parents=True, exist_ok=True)
+    manifest_path.write_text(json.dumps({"version": 1, **manifest}, indent=1))
+    payload_path.write_bytes(np.ascontiguousarray(payload, "<f4").tobytes())
+
+
+def _read_pair(path: str | Path, what: str,
+               **field_types: type) -> tuple[dict, np.ndarray]:
+    """(manifest, flat payload): a JSON object at version 1 whose named fields
+    have the named types, and whole, finite f32le values returned as a view
+    of the bytes read, so the caller's one cast is the only copy."""
+    manifest_path, payload_path = _pair_paths(path)
+    manifest = read_json_object(manifest_path, f"{what} manifest")
+    if manifest.get("version") != 1:
+        raise DataError(f"{manifest_path}: unsupported version "
+                        f"{manifest.get('version')!r}")
+    for key, kind in field_types.items():
+        value = manifest.get(key)
+        if not isinstance(value, kind):
+            raise DataError(f"{manifest_path}: field {key!r} must be "
+                            f"{kind.__name__}, got {value!r}")
+    raw = payload_path.read_bytes()
+    if len(raw) % 4:
+        raise DataError(f"{payload_path}: payload length {len(raw)} bytes is "
+                        "not a whole number of f32 values")
+    payload = np.frombuffer(raw, dtype="<f4")
+    if not np.all(np.isfinite(payload)):
+        raise DataError(f"{payload_path}: payload contains non-finite values")
+    return manifest, payload
+
+
+# ----------------------------------------------------------- EEGR format
 
 
 def write_recording(path: str | Path, rec: RawRecording) -> None:
-    base = _base_path(path)
-    base.parent.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "version": 1,
+    _write_pair(path, {
         "sample_rate_hz": rec.sample_rate_hz,
         "channels": list(rec.channels),
         "dtype": "f32le",
@@ -231,53 +282,27 @@ def write_recording(path: str | Path, rec: RawRecording) -> None:
                 ("baseline_end", t.baseline_end)) if v is not None}
             for t in rec.trials
         ],
-    }
-    _sibling(base, ".json").write_text(json.dumps(manifest, indent=1))
-    payload = np.ascontiguousarray(rec.data, dtype="<f4")
-    _sibling(base, ".f32").write_bytes(payload.tobytes())
-
-
-def _require(manifest: dict, key: str, path: Path):
-    if key not in manifest:
-        raise DataError(f"{path}: manifest missing field {key!r}")
-    return manifest[key]
+    }, rec.data)
 
 
 def read_recording(path: str | Path) -> RawRecording:
-    base = _base_path(path)
-    manifest_path = _sibling(base, ".json")
-    payload_path = _sibling(base, ".f32")
-    if not manifest_path.exists():
-        raise DataError(f"recording manifest not found: {manifest_path}")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as e:
-        raise DataError(f"{manifest_path}: invalid JSON: {e}") from e
-    if _require(manifest, "version", manifest_path) != 1:
-        raise DataError(
-            f"{manifest_path}: unsupported version {manifest['version']!r}")
-    if _require(manifest, "dtype", manifest_path) != "f32le":
-        raise DataError(f"{manifest_path}: unsupported dtype "
-                        f"{manifest['dtype']!r}")
-    channels = _require(manifest, "channels", manifest_path)
-    rate = _require(manifest, "sample_rate_hz", manifest_path)
-    raw = payload_path.read_bytes()
-    if len(raw) % (4 * len(channels)) != 0:
-        raise DataError(
-            f"{payload_path}: payload length {len(raw)} bytes is not a "
-            f"multiple of 4 x {len(channels)} channels")
-    n = len(raw) // (4 * len(channels))
-    data = np.frombuffer(raw, dtype="<f4").reshape(len(channels), n)
-    if not np.all(np.isfinite(data)):
-        raise DataError(f"{payload_path}: payload contains non-finite values")
+    manifest, payload = _read_pair(path, "recording", dtype=str,
+                                   channels=list, trials=list)
+    if manifest["dtype"] != "f32le":
+        raise DataError(f"{path}: unsupported dtype {manifest['dtype']!r}")
+    channels = manifest["channels"]
+    if not channels or payload.size % len(channels):
+        raise DataError(f"{path}: {len(channels)} channels cannot split a "
+                        f"payload of {payload.size} values")
     try:
         trials = [Trial(start=t["start"], end=t["end"], label=t["label"],
                         baseline_start=t.get("baseline_start"),
                         baseline_end=t.get("baseline_end"))
-                  for t in _require(manifest, "trials", manifest_path)]
-        return RawRecording(rate, channels, data.astype(np.float64), trials)
+                  for t in manifest["trials"]]
+        data = payload.reshape(len(channels), -1).astype(np.float64)
+        return RawRecording(manifest["sample_rate_hz"], channels, data, trials)
     except (KeyError, TypeError, ValueError) as e:
-        raise DataError(f"{manifest_path}: malformed manifest: {e!r}") from e
+        raise DataError(f"{path}: malformed manifest: {e!r}") from e
 
 
 # ----------------------------------------------------------- FEAT format
@@ -285,13 +310,14 @@ def read_recording(path: str | Path) -> RawRecording:
 
 @dataclass
 class FeatureSet:
-    """All samples of a feature file: values (N, F, 2f, C) plus labels/meta."""
+    """All samples of a feature file: values (N, F, 2f, C) plus labels/meta,
+    and one name per channel (None names them ch00, ch01, ...)."""
 
     values: np.ndarray
     labels: np.ndarray
     metas: list[dict]
     bands: list[BandSpec]
-    channels: list[str] = field(default_factory=list)
+    channels: list[str] | None = None
 
     def __post_init__(self):
         labels = np.asarray(self.labels)
@@ -301,8 +327,14 @@ class FeatureSet:
                             f"{labels.shape}")
         if labels.size and labels.min() < 0:
             raise DataError(f"labels must be non-negative, got {labels.min()}")
-        if not self.channels:
-            self.channels = [f"ch{i:02d}" for i in range(self.values.shape[-1])]
+        n_channels = self.values.shape[-1]
+        if self.channels is None:
+            self.channels = [f"ch{i:02d}" for i in range(n_channels)]
+        elif not (isinstance(self.channels, list)
+                  and len(self.channels) == n_channels
+                  and all(isinstance(c, str) for c in self.channels)):
+            raise DataError(f"channels must be a list of {n_channels} names, "
+                            f"got {self.channels!r}")
 
     @property
     def n_samples(self) -> int:
@@ -327,11 +359,8 @@ def write_features(path: str | Path, samples: list[SampleTensor],
     for i, s in enumerate(samples):
         if s.values.shape != shape:
             raise DataError(f"sample {i} shape {s.values.shape} != {shape}")
-    base = _base_path(path)
-    base.parent.mkdir(parents=True, exist_ok=True)
     stride = int(np.prod(shape)) * 4
     manifest = {
-        "version": 1,
         "shape": list(shape),
         "bands": [{"name": b.name, "lo_hz": b.lo_hz, "hi_hz": b.hi_hz}
                   for b in bands],
@@ -343,57 +372,37 @@ def write_features(path: str | Path, samples: list[SampleTensor],
             raise DataError(f"{len(channels)} channel names for {shape[-1]} "
                             "channels")
         manifest["channels"] = list(channels)
-    _sibling(base, ".json").write_text(json.dumps(manifest, indent=1))
-    payload = np.stack([s.values for s in samples]).astype("<f4")
-    _sibling(base, ".f32").write_bytes(payload.tobytes())
+    _write_pair(path, manifest, np.stack([s.values for s in samples]))
 
 
 def read_features(path: str | Path) -> FeatureSet:
-    base = _base_path(path)
-    manifest_path = _sibling(base, ".json")
-    payload_path = _sibling(base, ".f32")
-    if not manifest_path.exists():
-        raise DataError(f"feature manifest not found: {manifest_path}")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as e:
-        raise DataError(f"{manifest_path}: invalid JSON: {e}") from e
-    if _require(manifest, "version", manifest_path) != 1:
-        raise DataError(
-            f"{manifest_path}: unsupported version {manifest['version']!r}")
-    shape = _require(manifest, "shape", manifest_path)
-    if not (isinstance(shape, list) and len(shape) == 3 and all(
+    manifest, payload = _read_pair(path, "feature", shape=list, samples=list)
+    shape = manifest["shape"]
+    if not (len(shape) == 3 and all(
             isinstance(n, int) and not isinstance(n, bool) and n > 0
             for n in shape)):
-        raise DataError(f"{manifest_path}: shape {shape!r} is not three "
-                        "positive integers (frames, 2 x bands, channels)")
-    shape = tuple(shape)
-    entries = _require(manifest, "samples", manifest_path)
-    stride = int(np.prod(shape)) * 4
-    raw = payload_path.read_bytes()
+        raise DataError(f"{path}: shape {shape!r} is not three positive "
+                        "integers (frames, 2 x bands, channels)")
+    entries = manifest["samples"]
+    stride = math.prod(shape) * 4
     expected = stride * len(entries)
-    if len(raw) != expected:
+    if payload.nbytes != expected:
         raise DataError(
-            f"{payload_path}: payload length mismatch, expected {expected} "
-            f"bytes for {len(entries)} samples, got {len(raw)}")
+            f"{path}: payload length mismatch, expected {expected} bytes for "
+            f"{len(entries)} samples, got {payload.nbytes}")
     labels = np.empty(len(entries), dtype=np.int64)
     metas = []
     try:
         for i, entry in enumerate(entries):
             off = entry["offset"]
             if off != i * stride:
-                raise DataError(
-                    f"{manifest_path}: sample {i} offset {off} != expected "
-                    f"{i * stride}")
+                raise DataError(f"{path}: sample {i} offset {off} != "
+                                f"expected {i * stride}")
             labels[i] = int(entry["label"])
             metas.append(dict(entry.get("meta", {})))
         bands = [BandSpec(b["name"], b["lo_hz"], b["hi_hz"])
                  for b in manifest.get("bands", [])]
     except (KeyError, TypeError, ValueError) as e:
-        raise DataError(f"{manifest_path}: malformed manifest: {e!r}") from e
-    values = np.frombuffer(raw, dtype="<f4").reshape(
-        (len(entries),) + shape).astype(np.float32)
-    if not np.all(np.isfinite(values)):
-        raise DataError(f"{payload_path}: payload contains non-finite values")
-    return FeatureSet(values, labels, metas, bands,
-                      list(manifest.get("channels", [])))
+        raise DataError(f"{path}: malformed manifest: {e!r}") from e
+    values = payload.reshape((len(entries), *shape)).astype(np.float32)
+    return FeatureSet(values, labels, metas, bands, manifest.get("channels"))

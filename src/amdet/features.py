@@ -79,8 +79,8 @@ class RawRecording:
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
-        if self.sample_rate_hz <= 0:
-            raise DataError("sample_rate_hz must be positive")
+        if not 0 < self.sample_rate_hz < math.inf:
+            raise DataError("sample_rate_hz must be positive and finite")
         if self.data.ndim != 2:
             raise DataError(f"data must be 2-D, got shape {self.data.shape}")
         if len(self.channels) != self.data.shape[0] or not self.channels:

@@ -46,6 +46,8 @@ class ExperimentConfig:
                             f"{self.optimizer!r}")
         if not isinstance(self.model, dict):
             raise DataError(f"model must be a mapping, got {self.model!r}")
+        if "seed" in self.model:
+            raise DataError("model.seed: set the top-level seed instead")
         if self.folds < 2:
             raise DataError("folds must be >= 2")
         if self.epochs < 1:
@@ -156,6 +158,7 @@ def fit(x_train: np.ndarray, y_train: np.ndarray, model_cfg: ModelConfig,
         ) -> tuple[dict[str, np.ndarray], list[float]]:
     """Train a freshly initialized model; returns (params, per-epoch losses)."""
     params = init_params(model_cfg)
+    x_train = np.asarray(x_train, next(iter(params.values())).dtype)
     optimizer = AdamW(params, opt_cfg)
     rng = np.random.default_rng(np.random.SeedSequence([shuffle_seed, 0x5F1E]))
     n = x_train.shape[0]

@@ -139,13 +139,33 @@ def test_data_error_exit_code_2(workdir, capsys):
                                        SampleTensor(np.ones((6, 8, 4)), 1)],
                    DEAP_BANDS)
     manifest = json.loads((workdir / "shape.json").read_text())
-    for shape in (5, ["a"], [6.0, 8, 16], [6.0, 8, 4], [48, 4]):
-        (workdir / "shape.json").write_text(
-            json.dumps(dict(manifest, shape=shape)))
+    cases = [(dict(manifest, shape=shape), "shape") for shape in
+             (5, ["a"], [6.0, 8, 16], [6.0, 8, 4], [48, 4])]
+    # not an object, and channel names that do not name the 4 channels
+    cases += [(5, "JSON object"), (dict(manifest, samples=5), "samples")]
+    cases += [(dict(manifest, channels=names), "channels")
+              for names in (5, "abcd", ["a"])]
+    for bad, named in cases:
+        (workdir / "shape.json").write_text(json.dumps(bad))
         capsys.readouterr()
         assert main(["count", "--features", str(workdir / "shape")]) == 2, \
-            shape
-        assert "shape" in capsys.readouterr().err
+            bad
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and named in err, err
+    # EEGR manifests: not an object, channels not a list, no channels, a
+    # sample rate that is not a positive finite number
+    write_recording(workdir / "badrec", synth_generate(default_synth_spec(
+        channels=4, trials_per_class=1, trial_seconds=2.0)))
+    manifest = json.loads((workdir / "badrec.json").read_text())
+    for bad in (5, dict(manifest, channels=5), dict(manifest, channels=[]),
+                dict(manifest, sample_rate_hz=float("nan")),
+                dict(manifest, sample_rate_hz=float("inf"))):
+        (workdir / "badrec.json").write_text(json.dumps(bad))
+        capsys.readouterr()
+        assert main(["preprocess", "--recording", str(workdir / "badrec"),
+                     "--out", str(workdir / "badfeat")]) == 2, bad
+        assert capsys.readouterr().err.startswith("data error:")
+    assert not (workdir / "badfeat.json").exists()
 
 
 def test_eval_negative_label_exit_code_2(pipeline, capsys):
@@ -185,6 +205,7 @@ def test_config_file_with_set_override(workdir, capsys):
     ('ablate="spatial"', "ablate"),
     ("optimizer.grad_clip=1.0", "grad_clip"),
     ('features="x"', "features"),
+    ("model.seed=5", "model.seed"),
 ])
 def test_bad_config_field_exit_code_2(pipeline, override, named, capsys):
     assert main(["train", "--features", str(pipeline / "feat"),

@@ -316,6 +316,13 @@ def test_featureset_rejects_bad_labels(labels):
         FeatureSet(np.zeros((4, 6, 4, 3)), labels, [{}] * 4, [])
 
 
+@pytest.mark.parametrize("channels", [5, "abc", ["a"], ["a", "b", 3]])
+def test_featureset_rejects_bad_channel_names(channels):
+    with pytest.raises(DataError, match="channels"):
+        FeatureSet(np.zeros((4, 6, 4, 3)), np.zeros(4, int), [{}] * 4, [],
+                   channels)
+
+
 def test_featureset_helpers():
     samples, bands, channels = feature_fixture()
     fs = FeatureSet(np.stack([s.values for s in samples]),

@@ -374,3 +374,23 @@ def test_one_fit_step_computes_in_float32(monkeypatch, rng):
     assert {t.grad.dtype for t in leaves if t.grad is not None} == f32
     assert {a.dtype for a in (*optimizer.m.values(), *optimizer.v.values(),
                               *params.values())} == f32
+
+
+def test_fit_hands_forward_batches_already_in_float32(monkeypatch, rng):
+    """fit casts the training set once, so no batch is cast again."""
+    batch_dtypes = []
+    real_forward = harness.forward
+
+    def forward(tape, p, cfg, x):
+        batch_dtypes.append(x.dtype)
+        return real_forward(tape, p, cfg, x)
+
+    cfg = ModelConfig(channels=4, bands=2, frames=6, classes=2, seed=0)
+    x = rng.normal(size=(20, 6, 4, 4))
+    y = np.arange(20) % 2
+    opt = OptimizerConfig(batch_size=8)
+    _, f32_losses = fit(x.astype(np.float32), y, cfg, opt, 2, shuffle_seed=0)
+    monkeypatch.setattr(harness, "forward", forward)
+    _, losses = fit(x, y, cfg, opt, 2, shuffle_seed=0)
+    assert batch_dtypes == [np.dtype(np.float32)] * 6
+    assert losses == f32_losses
