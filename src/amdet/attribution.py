@@ -88,19 +88,15 @@ def rank_channels(params: dict[str, np.ndarray], cfg: ModelConfig,
 
 
 def select_channels(values: np.ndarray, ranking: list[int], k: int
-                    ) -> tuple[np.ndarray, dict[int, int]]:
-    """Keep the top-k ranked channels, in ranking order.
-
-    Returns the reduced array (channel axis length k) and the old -> new
-    index mapping.
-    """
+                    ) -> np.ndarray:
+    """The top-k ranked channels of values (channel axis length k), in
+    ranking order."""
     c = values.shape[-1]
     if sorted(ranking) != list(range(c)):
         raise DataError("ranking must be a permutation of all channel indices")
     if not (1 <= k <= c):
         raise DataError(f"k={k} out of range 1..{c}")
-    keep = ranking[:k]
-    return values[..., keep], {old: new for new, old in enumerate(keep)}
+    return values[..., ranking[:k]]
 
 
 def write_channel_report(out_dir: str | Path, report: ChannelReport,

@@ -1,10 +1,14 @@
 """Synthetic recordings with planted class signatures, and file formats.
 
-Recording files ("EEGR v1") and feature files ("FEAT v1") are a JSON manifest
-next to a flat f32le binary, channel-major and sample-major respectively. One
-reader and one writer know that layout; the readers validate the manifest
-against the payload before any data is used. `read_json_object` parses every
-JSON object the package reads: manifests, configs and checkpoint headers.
+Every binary artifact is a pair: a JSON manifest `name.json` next to a flat
+f32le payload `name.f32`, and a path to `name`, `name.json` or `name.f32`
+names the pair. `_write_pair` is the one writer and `_read_pair` the one
+reader; the reader checks the manifest's version and field types, that the
+payload exists and holds whole, finite f32 values, before any data is used.
+Recordings ("EEGR v1", channel-major) and feature files ("FEAT v1",
+sample-major) are defined here, checkpoints in `checkpoint.py`.
+`read_json_object` parses every JSON object the package reads: manifests and
+config files.
 
 The generator plants class-conditional sinusoids on chosen channels inside
 chosen frequency bands, on top of pink-noise background. The amplitude rides
@@ -206,16 +210,14 @@ def synth_generate(spec: SynthSpec) -> RawRecording:
 # ---------------------------------------------------- manifest + payload
 
 
-def read_json_object(path: str | Path, what: str,
-                     raw: bytes | None = None) -> dict:
-    """The JSON object in raw, or in the file at path when raw is None; a
-    missing file, bytes that are not JSON or a value that is not an object
-    raise DataError naming path and what."""
-    if raw is None:
-        try:
-            raw = Path(path).read_bytes()
-        except FileNotFoundError as e:
-            raise DataError(f"{what} not found: {path}") from e
+def read_json_object(path: str | Path, what: str) -> dict:
+    """The JSON object in the file at path; a missing file, bytes that are
+    not JSON or a value that is not an object raise DataError naming path
+    and what."""
+    try:
+        raw = Path(path).read_bytes()
+    except FileNotFoundError as e:
+        raise DataError(f"{what} not found: {path}") from e
     try:
         value = json.loads(raw)
     except ValueError as e:         # JSONDecodeError or UnicodeDecodeError
@@ -257,7 +259,10 @@ def _read_pair(path: str | Path, what: str,
         if not isinstance(value, kind):
             raise DataError(f"{manifest_path}: field {key!r} must be "
                             f"{kind.__name__}, got {value!r}")
-    raw = payload_path.read_bytes()
+    try:
+        raw = payload_path.read_bytes()
+    except FileNotFoundError as e:
+        raise DataError(f"{what} payload not found: {payload_path}") from e
     if len(raw) % 4:
         raise DataError(f"{payload_path}: payload length {len(raw)} bytes is "
                         "not a whole number of f32 values")
@@ -398,11 +403,13 @@ def read_features(path: str | Path) -> FeatureSet:
             if off != i * stride:
                 raise DataError(f"{path}: sample {i} offset {off} != "
                                 f"expected {i * stride}")
-            labels[i] = int(entry["label"])
+            check_numbers(f"{path}: sample {i}", numbers.Integral,
+                          label=entry["label"])
+            labels[i] = entry["label"]
             metas.append(dict(entry.get("meta", {})))
         bands = [BandSpec(b["name"], b["lo_hz"], b["hi_hz"])
                  for b in manifest.get("bands", [])]
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise DataError(f"{path}: malformed manifest: {e!r}") from e
     values = payload.reshape((len(entries), *shape)).astype(np.float32)
     return FeatureSet(values, labels, metas, bands, manifest.get("channels"))

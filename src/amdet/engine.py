@@ -25,7 +25,7 @@ that produced the first non-finite gradient.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -82,8 +82,6 @@ class _Node:
     out: Tensor
     inputs: tuple[Tensor, ...]
     backward: Callable
-    # shapes kept for FLOP accounting; matmul also stores the inner dim
-    meta: dict = field(default_factory=dict)
 
 
 class Tape:
@@ -92,8 +90,8 @@ class Tape:
     def __init__(self):
         self.nodes: list[_Node] = []
 
-    def _record(self, op, out, inputs, backward, **meta) -> Tensor:
-        self.nodes.append(_Node(op, out, inputs, backward, meta))
+    def _record(self, op, out, inputs, backward) -> Tensor:
+        self.nodes.append(_Node(op, out, inputs, backward))
         return out
 
     # ------------------------------------------------------------------ ops
@@ -111,8 +109,7 @@ class Tape:
             gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
             return ga, gb
 
-        return self._record("matmul", out, (a, b), backward,
-                            inner=a.data.shape[-1], out_shape=out.data.shape)
+        return self._record("matmul", out, (a, b), backward)
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
         out = Tensor(a.data + b.data, _name("add", a, b))
@@ -305,11 +302,8 @@ class Tape:
 
     def matmul_flops(self) -> int:
         """2 * multiply-adds summed over every matmul recorded so far."""
-        total = 0
-        for node in self.nodes:
-            if node.op == "matmul":
-                total += 2 * int(np.prod(node.meta["out_shape"])) * node.meta["inner"]
-        return total
+        return sum(2 * node.out.data.size * node.inputs[0].data.shape[-1]
+                   for node in self.nodes if node.op == "matmul")
 
 
 # ------------------------------------------------------------------- adamw

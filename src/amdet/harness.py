@@ -309,7 +309,7 @@ def reduce_channels_sweep(config: ExperimentConfig, features: FeatureSet,
     out_dir = Path(config.out_dir) if config.out_dir else None
     base_cfg = config.model_config(features)
     for k in ks:
-        reduced, _ = select_channels(features.values, ranking, k)
+        reduced = select_channels(features.values, ranking, k)
         sub = FeatureSet(reduced, features.labels, features.metas,
                          features.bands,
                          [features.channels[i] for i in ranking[:k]])

@@ -115,11 +115,12 @@ def test_criterion_3_shape_and_invariant_suite(tmp_path):
     full, _ = forward(Tape(), wrap_params(zeroed), cfg, x)
     temporal_ok = np.max(np.abs(ablated.data - full.data)) < 1e-9
 
-    a, b = tmp_path / "a.amdw", tmp_path / "b.amdw"
-    save_checkpoint(a, params, cfg)
-    loaded, loaded_cfg, _ = load_checkpoint(a)
-    save_checkpoint(b, loaded, loaded_cfg)
-    ckpt_ok = a.read_bytes() == b.read_bytes()
+    save_checkpoint(tmp_path / "a.amdw", params, cfg)
+    loaded, loaded_cfg, _ = load_checkpoint(tmp_path / "a.amdw")
+    save_checkpoint(tmp_path / "b.amdw", loaded, loaded_cfg)
+    ckpt_ok = all((tmp_path / f"a.amdw{ext}").read_bytes()
+                  == (tmp_path / f"b.amdw{ext}").read_bytes()
+                  for ext in (".json", ".f32"))
 
     ok = rows_ok and z_ok and share_ok and temporal_ok and ckpt_ok
     report(3, ok, f"attention rows {rows_ok}, zscore {z_ok}, sharing "
@@ -272,7 +273,7 @@ def test_criterion_7_attribution_recovery():
     fs = build_featureset(default_synth_spec(trials_per_class=15, seed=1))
     cfg = experiment(seed=1, folds=5, epochs=25)
     full_acc = train(cfg, fs).mean_accuracy
-    reduced_values, _ = select_channels(fs.values, rankings[1], 4)
+    reduced_values = select_channels(fs.values, rankings[1], 4)
     reduced_fs = FeatureSet(reduced_values, fs.labels, fs.metas, fs.bands,
                             [fs.channels[i] for i in rankings[1][:4]])
     reduced_acc = train(cfg, reduced_fs).mean_accuracy

@@ -1,7 +1,6 @@
-"""Checkpoint format: byte-exact round trips and header validation."""
+"""Checkpoint pairs: byte-exact round trips and manifest validation."""
 
 import json
-import struct
 from dataclasses import replace
 
 import numpy as np
@@ -22,12 +21,28 @@ CFG = ModelConfig(channels=4, bands=2, frames=6, classes=2, seed=3,
 
 def test_checkpoint_save_load_save_bitwise(tmp_path):
     params = init_params(CFG)
-    a = tmp_path / "a.amdw"
-    b = tmp_path / "b.amdw"
-    save_checkpoint(a, params, CFG, extra={"fold": 0})
-    loaded, cfg, extra = load_checkpoint(a)
-    save_checkpoint(b, loaded, cfg, extra=extra)
-    assert a.read_bytes() == b.read_bytes()
+    save_checkpoint(tmp_path / "a.amdw", params, CFG, extra={"fold": 0})
+    loaded, cfg, extra = load_checkpoint(tmp_path / "a.amdw")
+    save_checkpoint(tmp_path / "b.amdw", loaded, cfg, extra=extra)
+    for ext in (".json", ".f32"):
+        assert (tmp_path / f"a.amdw{ext}").read_bytes() == \
+            (tmp_path / f"b.amdw{ext}").read_bytes()
+
+
+def test_checkpoint_is_a_manifest_payload_pair(tmp_path):
+    params = init_params(CFG)
+    save_checkpoint(tmp_path / "m.amdw", params, CFG)
+    manifest = json.loads((tmp_path / "m.amdw.json").read_text())
+    assert set(manifest) == {"version", "config", "params"}
+    names = [name for name, _ in manifest["params"]]
+    assert names == sorted(params)
+    payload = np.fromfile(tmp_path / "m.amdw.f32", dtype="<f4")
+    np.testing.assert_array_equal(
+        payload, np.concatenate([params[n].ravel() for n in names]))
+    # a path to either file of the pair names the pair
+    for ext in (".json", ".f32"):
+        loaded, _, _ = load_checkpoint(tmp_path / f"m.amdw{ext}")
+        assert all(np.array_equal(loaded[k], params[k]) for k in params)
 
 
 def test_reloaded_model_computes_the_same_logits_bitwise(tmp_path):
@@ -83,18 +98,17 @@ def test_checkpoint_config_carries_ablate(tmp_path):
     assert load_checkpoint(path)[1] == CFG
 
 
-def test_checkpoint_bad_magic_rejected(tmp_path):
+def test_checkpoint_in_the_old_single_file_layout_is_not_found(tmp_path):
     path = tmp_path / "m.amdw"
-    path.write_bytes(b"NOPE" + b"\x00" * 64)
-    with pytest.raises(DataError, match="magic"):
+    path.write_bytes(b"AMDW" + b"\x00" * 64)
+    with pytest.raises(DataError, match="checkpoint manifest not found"):
         load_checkpoint(path)
 
 
 def test_checkpoint_truncated_payload_rejected(tmp_path):
     path = tmp_path / "m.amdw"
     save_checkpoint(path, init_params(CFG), CFG)
-    raw = path.read_bytes()
-    path.write_bytes(raw[:-8])
+    _cut(path, ".f32", -8)
     with pytest.raises(DataError, match="payload"):
         load_checkpoint(path)
 
@@ -102,40 +116,38 @@ def test_checkpoint_truncated_payload_rejected(tmp_path):
 # ------------------------------------------- malformed files: eval exits 2
 
 
+def _file(path, ext):
+    return path.parent / (path.name + ext)
+
+
 def _edit_header(path, edit):
-    raw = path.read_bytes()
-    (length,) = struct.unpack("<I", raw[4:8])
-    header = json.loads(raw[8:8 + length])
-    edit(header)
-    blob = json.dumps(header).encode()
-    path.write_bytes(raw[:4] + struct.pack("<I", len(blob)) + blob
-                     + raw[8 + length:])
+    manifest = json.loads(_file(path, ".json").read_text())
+    edit(manifest)
+    _file(path, ".json").write_text(json.dumps(manifest))
 
 
-def _entry(header, name):
-    return next(e for e in header["param_index"] if e["name"] == name)
+def _cut(path, ext, keep):
+    _file(path, ext).write_bytes(_file(path, ext).read_bytes()[:keep])
+
+
+def _entry(manifest, name):
+    return next(e for e in manifest["params"] if e[0] == name)
 
 
 def _nan_first_weight(path):
-    raw = bytearray(path.read_bytes())
-    (length,) = struct.unpack("<I", raw[4:8])
-    raw[8 + length:12 + length] = np.array([np.nan], "<f4").tobytes()
-    path.write_bytes(bytes(raw))
+    raw = bytearray(_file(path, ".f32").read_bytes())
+    raw[:4] = np.array([np.nan], "<f4").tobytes()
+    _file(path, ".f32").write_bytes(bytes(raw))
 
 
 MALFORMED = {
-    "six_bytes": lambda p: p.write_bytes(p.read_bytes()[:6]),
-    "header_longer_than_file": lambda p: p.write_bytes(
-        p.read_bytes()[:4] + struct.pack("<I", 1 << 30)),
-    "no_param_index": lambda p: _edit_header(
-        p, lambda h: h.pop("param_index")),
+    "six_bytes": lambda p: _cut(p, ".json", 6),
+    "no_param_index": lambda p: _edit_header(p, lambda h: h.pop("params")),
     "missing_parameter": lambda p: _edit_header(
-        p, lambda h: h.update(param_index=[
-            e for e in h["param_index"] if e["name"] != "spectral.pos"])),
+        p, lambda h: h.update(params=[
+            e for e in h["params"] if e[0] != "spectral.pos"])),
     "wrong_shape": lambda p: _edit_header(
-        p, lambda h: _entry(h, "classifier.w").update(shape=[2, 8])),
-    "negative_offset": lambda p: _edit_header(
-        p, lambda h: _entry(h, "classifier.w").update(offset=-4)),
+        p, lambda h: _entry(h, "classifier.w").__setitem__(1, [2, 8])),
     "nan_weight": _nan_first_weight,
     "unknown_config_key": lambda p: _edit_header(
         p, lambda h: h["config"].update(depth=3)),

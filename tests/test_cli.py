@@ -54,7 +54,8 @@ def test_synth_and_preprocess_artifacts(pipeline):
 def test_train_artifacts(pipeline):
     report = json.loads((pipeline / "run" / "report.json").read_text())
     assert len(report["fold_accuracies"]) == 2
-    assert (pipeline / "run" / "fold0.amdw").exists()
+    assert (pipeline / "run" / "fold0.amdw.json").exists()
+    assert (pipeline / "run" / "fold0.amdw.f32").exists()
     assert (pipeline / "run" / "loss.csv").exists()
 
 
@@ -145,6 +146,13 @@ def test_data_error_exit_code_2(workdir, capsys):
     cases += [(5, "JSON object"), (dict(manifest, samples=5), "samples")]
     cases += [(dict(manifest, channels=names), "channels")
               for names in (5, "abcd", ["a"])]
+    # a label that is not an integer, or too large for int64
+    cases += [(dict(manifest, samples=[dict(manifest["samples"][0],
+                                            label=label),
+                                       manifest["samples"][1]]), named)
+              for label, named in ((1.7, "label"), (True, "label"),
+                                   ("1", "label"),
+                                   (10 ** 30, "malformed manifest"))]
     for bad, named in cases:
         (workdir / "shape.json").write_text(json.dumps(bad))
         capsys.readouterr()

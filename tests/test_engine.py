@@ -49,6 +49,15 @@ def test_matmul_grad_batched_both(rng):
              rng.normal(size=(2, 1, 3)), rng.normal(size=(2, 3, 2)))
 
 
+def test_matmul_flops_are_two_per_multiply_add(rng):
+    tape = Tape()
+    a = Tensor(rng.normal(size=(5, 3, 4)))
+    tape.relu(tape.matmul(a, Tensor(rng.normal(size=(4, 7)))))
+    tape.matmul(Tensor(rng.normal(size=(2, 1, 6))),
+                Tensor(rng.normal(size=(2, 6, 3))))
+    assert tape.matmul_flops() == 2 * (5 * 3 * 4 * 7 + 2 * 1 * 6 * 3)
+
+
 def test_add_broadcast_grad(rng):
     check_op(lambda t, a, b: t.add(a, b),
              rng.normal(size=(3, 4)), rng.normal(size=(4,)))

@@ -130,7 +130,8 @@ def test_report_artifacts_written(run_once):
     assert (out / "report.json").exists()
     assert (out / "loss.csv").exists()
     for fold in range(config.folds):
-        assert (out / f"fold{fold}.amdw").exists()
+        assert (out / f"fold{fold}.amdw.json").exists()
+        assert (out / f"fold{fold}.amdw.f32").exists()
     on_disk = json.loads((out / "report.json").read_text())
     assert on_disk["mean_accuracy"] == report.mean_accuracy
     assert on_disk["mlp_ratio"] == 32
