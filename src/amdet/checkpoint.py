@@ -54,11 +54,12 @@ def load_checkpoint(path: str | Path
     if not isinstance(extra, dict):
         raise DataError(f"{path}: checkpoint extra {extra!r} is not an object")
     index = _index(init_params(config))
-    if manifest["params"] != index:
-        got, want = next((g, w) for g, w in zip_longest(manifest["params"],
-                                                        index) if g != w)
-        raise DataError(f"{path}: checkpoint parameter {got!r} where the "
-                        f"config needs {want!r}")
+    # compared by repr, not ==: 2.0 == 2 and True == 1, but a shape holds ints
+    mismatch = next(((got, want) for got, want in zip_longest(
+        manifest["params"], index) if repr(got) != repr(want)), None)
+    if mismatch:
+        raise DataError(f"{path}: checkpoint parameter {mismatch[0]!r} where "
+                        f"the config needs {mismatch[1]!r}")
     sizes = [math.prod(shape) for _, shape in index]
     if payload.size != sum(sizes):
         raise DataError(f"{path}: payload holds {payload.size} values, the "

@@ -251,9 +251,9 @@ def _read_pair(path: str | Path, what: str,
     of the bytes read, so the caller's one cast is the only copy."""
     manifest_path, payload_path = _pair_paths(path)
     manifest = read_json_object(manifest_path, f"{what} manifest")
-    if manifest.get("version") != 1:
-        raise DataError(f"{manifest_path}: unsupported version "
-                        f"{manifest.get('version')!r}")
+    version = manifest.get("version")
+    if type(version) is not int or version != 1:   # true == 1.0 == 1
+        raise DataError(f"{manifest_path}: unsupported version {version!r}")
     for key, kind in field_types.items():
         value = manifest.get(key)
         if not isinstance(value, kind):

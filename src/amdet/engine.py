@@ -5,7 +5,12 @@ multiply, scale, transpose, reshape, slice/concat on the feature axis, ReLU,
 row softmax, row layer norm, sum, and a fused softmax cross-entropy. All ops
 work on arrays of arbitrary leading (batch) shape; the semantic axes are the
 trailing one or two. Gradients flow through numpy broadcasting by summing the
-upstream gradient back down to each input's shape.
+upstream gradient back down to each input's shape. A product of a stacked
+activation (more than 2 dims) with a shared 2-D weight is one 2-D GEMM over
+the flattened rows, forward and for both gradients, rather than one GEMM per
+leading index. A sample's float32 result may then differ in the last bits
+with its row position in the batch; a given batch still computes bitwise the
+same on every run.
 
 A ``Tape`` records ops in execution order (which is already a topological
 order), and ``Tape.backward`` replays it in reverse, accumulating gradients
@@ -97,17 +102,26 @@ class Tape:
     # ------------------------------------------------------------------ ops
 
     def matmul(self, a: Tensor, b: Tensor) -> Tensor:
-        out = Tensor(a.data @ b.data, _name("matmul", a, b))
+        if b.data.ndim == 2 and a.data.ndim > 2:
+            # shared weight: one 2-D GEMM over the flattened rows, where a
+            # stacked product would run one GEMM per leading index
+            k, n = b.data.shape
+            rows = a.data.reshape(-1, k)
+            out = Tensor((rows @ b.data).reshape(*a.data.shape[:-1], n),
+                         _name("matmul", a, b))
 
-        def backward(g):
-            if b.data.ndim == 2 and a.data.ndim > 2:
-                # shared weight: one 2-D GEMM over the flattened rows
-                k, n = b.data.shape
-                return (g @ b.data.T,
-                        a.data.reshape(-1, k).T @ g.reshape(-1, n))
-            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
-            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
-            return ga, gb
+            def backward(g):
+                g = g.reshape(-1, n)
+                return (g @ b.data.T).reshape(a.data.shape), rows.T @ g
+        else:
+            out = Tensor(a.data @ b.data, _name("matmul", a, b))
+
+            def backward(g):
+                ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2),
+                                  a.data.shape)
+                gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g,
+                                  b.data.shape)
+                return ga, gb
 
         return self._record("matmul", out, (a, b), backward)
 

@@ -78,7 +78,8 @@ def test_rank_ties_break_by_channel_index():
 
 
 def test_rank_channels_permutation_invariant(rng):
-    params = init_params(CFG)
+    # float32 rounding of a sample may depend on its row in the batch's GEMM
+    params = params64(CFG)       # 1e-12 absolute is a float64 bound
     x = rng.normal(size=(6, CFG.frames, CFG.feature_dim, CFG.channels))
     y = np.array([0, 1, 0, 1, 1, 0])
     a = rank_channels(params, CFG, x, y)

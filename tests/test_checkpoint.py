@@ -148,6 +148,10 @@ MALFORMED = {
             e for e in h["params"] if e[0] != "spectral.pos"])),
     "wrong_shape": lambda p: _edit_header(
         p, lambda h: _entry(h, "classifier.w").__setitem__(1, [2, 8])),
+    "float_shape": lambda p: _edit_header(
+        p, lambda h: _entry(h, "classifier.w").__setitem__(1, [16.0, 2])),
+    "bool_shape": lambda p: _edit_header(
+        p, lambda h: _entry(h, "temporal.score.w").__setitem__(1, [16, True])),
     "nan_weight": _nan_first_weight,
     "unknown_config_key": lambda p: _edit_header(
         p, lambda h: h["config"].update(depth=3)),

@@ -246,11 +246,24 @@ def matmul_backward_batched(a, b, g):
     return ga, gb
 
 
-@pytest.mark.parametrize("a_shape", [(5, 3, 4), (2, 5, 3, 4)])
-def test_shared_weight_matmul_backward_matches_reference(rng, a_shape):
-    a, b = Tensor(rng.normal(size=a_shape)), Tensor(rng.normal(size=(4, 6)))
+@pytest.mark.parametrize("a_shape, swapped", [
+    ((5, 3, 4), False), ((2, 5, 3, 4), False),
+    ((5, 3, 4), True), ((2, 5, 3, 4), True),
+], ids=["a_shape0", "a_shape1", "swapaxes_view0", "swapaxes_view1"])
+def test_shared_weight_matmul_backward_matches_reference(rng, a_shape,
+                                                         swapped):
+    """The flattened 2-D GEMMs match the stacked products, forward and
+    backward; a non-contiguous left operand (a swapaxes view, which the
+    flattening has to copy) as well."""
+    a_data = rng.normal(size=a_shape)
+    if swapped:
+        a_data = np.swapaxes(np.swapaxes(a_data, -2, -3).copy(), -2, -3)
+        assert not a_data.flags.c_contiguous
+    a, b = Tensor(a_data), Tensor(rng.normal(size=(4, 6)))
     tape = Tape()
     out = tape.matmul(a, b)
+    assert out.shape == a_shape[:-1] + (6,)
+    assert rel_err(out.data, np.matmul(a.data, b.data)) < 1e-12
     g = rng.normal(size=out.shape)
     ga, gb = tape.nodes[-1].backward(g)
     ref_ga, ref_gb = matmul_backward_batched(a.data, b.data, g)

@@ -63,12 +63,16 @@ def _cut_manifest(manifest, payload, rng):
     manifest.write_bytes(raw[:rng.integers(len(raw))])
 
 
-def _drop_key(key):
+def _edit_manifest(edit):
     def fault(manifest, payload, rng):
         fields = json.loads(manifest.read_text())
-        del fields[key]
+        edit(fields)
         manifest.write_text(json.dumps(fields))
     return fault
+
+
+def _drop_key(key):
+    return _edit_manifest(lambda fields: fields.pop(key))
 
 
 FAULTS = {
@@ -79,6 +83,8 @@ FAULTS = {
     "payload_deleted": lambda manifest, payload, rng: payload.unlink(),
     "manifest_deleted": lambda manifest, payload, rng: manifest.unlink(),
     "manifest_cut_short": _cut_manifest,
+    "version_true": _edit_manifest(lambda fields: fields.update(version=True)),
+    "version_float": _edit_manifest(lambda fields: fields.update(version=1.0)),
 }
 CASES = [(fmt, fault) for fmt in FORMATS for fault in FAULTS] + [
     (fmt, f"no_{key}") for fmt, spec in FORMATS.items() for key in spec[3]]
