@@ -122,16 +122,20 @@ def write_channel_report(out_dir: str | Path, report: ChannelReport,
 
 
 def read_ranking_csv(path: str | Path) -> list[int]:
-    """Recover the full channel ranking from a channel_scores.csv file."""
-    rows = []
+    """Recover the full channel ranking from a channel_scores.csv file, whose
+    rank column holds each of 0..n-1 exactly once."""
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            rows.append((int(row["rank"]), len(rows)))
-    if not rows:
+        ranks = [row.get("rank") for row in csv.DictReader(fh)]
+    if not ranks:
         raise DataError(f"{path}: empty ranking file")
-    ranking = [0] * len(rows)
-    for rank, channel in rows:
-        if not (0 <= rank < len(rows)):
-            raise DataError(f"{path}: rank {rank} out of range")
+    try:
+        ranks = [int(rank) for rank in ranks]
+    except (TypeError, ValueError):
+        raise DataError(f"{path}: every row needs an integer rank") from None
+    if sorted(ranks) != list(range(len(ranks))):
+        raise DataError(f"{path}: ranks are not each of 0..{len(ranks) - 1} "
+                        f"exactly once")
+    ranking = [0] * len(ranks)
+    for channel, rank in enumerate(ranks):
         ranking[rank] = channel
     return ranking

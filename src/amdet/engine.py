@@ -12,6 +12,14 @@ leading index. A sample's float32 result may then differ in the last bits
 with its row position in the batch; a given batch still computes bitwise the
 same on every run.
 
+Reductions over short rows are single-pass contractions, because numpy's
+``ufunc.reduce`` pays a fixed cost per row: softmax and layer norm take their
+row sums and row dots with ``einsum`` and the softmax shift with an exact
+pairwise ``np.maximum``, and the leading axes of a broadcast gradient are
+summed by one GEMV. Their float32 summation order is not numpy's pairwise
+one, so float32 loss curves differ in the last bits from those of the
+per-row reductions.
+
 A ``Tape`` records ops in execution order (which is already a topological
 order), and ``Tape.backward`` replays it in reverse, accumulating gradients
 onto every ``Tensor`` touched. There is no graph pruning: a tape is built for
@@ -29,6 +37,7 @@ that produced the first non-finite gradient.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Callable
@@ -65,14 +74,35 @@ class Tensor:
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     """Sum ``grad`` down to ``shape``, undoing numpy broadcasting."""
-    # one reduction over the extra leading axes and the axes broadcast from 1
     lead = grad.ndim - len(shape)
-    axes = tuple(range(lead)) + tuple(
-        lead + ax for ax, n in enumerate(shape)
-        if n == 1 and grad.shape[lead + ax] != 1)
-    if not axes:
-        return grad
-    return grad.sum(axis=axes).reshape(shape)
+    if lead:
+        rows, tail = math.prod(grad.shape[:lead]), grad.shape[lead:]
+        grad = (np.ones(rows, grad.dtype)
+                @ grad.reshape(rows, math.prod(tail))).reshape(tail)
+    axes = tuple(ax for ax, n in enumerate(shape)
+                 if n == 1 and grad.shape[ax] != 1)
+    return grad.sum(axis=axes, keepdims=True) if axes else grad
+
+
+def _row_sum(a: Array, b: Array | None = None) -> Array:
+    """Sum over the last axis of ``a`` (of ``a * b`` if ``b`` is given) as
+    one contraction, keeping that axis with length 1. ``ufunc.reduce`` pays a
+    fixed cost per row, which dominates on the model's rows of 8-62."""
+    s = np.einsum("...i->...", a) if b is None else \
+        np.einsum("...i,...i->...", a, b)
+    return s[..., None]
+
+
+def _row_max(a: Array) -> Array:
+    """``a.max(axis=-1, keepdims=True)``, bitwise, by halving the rows with
+    ``np.maximum``; an odd width folds its last column into column 0."""
+    while a.shape[-1] > 1:
+        half = a.shape[-1] // 2
+        m = np.maximum(a[..., :half], a[..., half:2 * half])
+        if a.shape[-1] % 2:
+            np.maximum(m[..., :1], a[..., -1:], out=m[..., :1])
+        a = m
+    return a
 
 
 def _name(op: str, *parents: "Tensor") -> str:
@@ -201,14 +231,12 @@ class Tape:
 
     def softmax(self, a: Tensor) -> Tensor:
         """Softmax over the last axis."""
-        shifted = a.data - a.data.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        p = e / e.sum(axis=-1, keepdims=True)
+        e = np.exp(a.data - _row_max(a.data))
+        p = e / _row_sum(e)
         out = Tensor(p, _name("softmax", a))
 
         def backward(g):
-            dot = (g * p).sum(axis=-1, keepdims=True)
-            return (p * (g - dot),)
+            return (p * (g - _row_sum(g, p)),)
 
         return self._record("softmax", out, (a,), backward)
 
@@ -218,16 +246,16 @@ class Tape:
 
         eps floors the variance so constant rows map to zero instead of NaN.
         """
-        mu = a.data.mean(axis=-1, keepdims=True)
-        var = a.data.var(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + eps)
-        xhat = (a.data - mu) * inv
+        n = a.data.shape[-1]
+        centered = a.data - _row_sum(a.data) / n
+        inv = 1.0 / np.sqrt(_row_sum(centered, centered) / n + eps)
+        xhat = centered * inv
         out = Tensor(xhat * gain.data + bias.data, _name("layer_norm", a))
 
         def backward(g):
             gx_hat = g * gain.data
-            term = gx_hat - gx_hat.mean(axis=-1, keepdims=True) \
-                - xhat * (gx_hat * xhat).mean(axis=-1, keepdims=True)
+            term = gx_hat - _row_sum(gx_hat) / n \
+                - xhat * (_row_sum(gx_hat, xhat) / n)
             ga = inv * term
             ggain = _unbroadcast(g * xhat, gain.data.shape)
             gbias = _unbroadcast(g, bias.data.shape)

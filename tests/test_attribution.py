@@ -240,8 +240,20 @@ def test_channel_report_csv_and_topk_round_trip(tmp_path):
     assert topk["indices"] == [1, 3]
 
 
-def test_read_ranking_rejects_bad_rank(tmp_path):
-    (tmp_path / "channel_scores.csv").write_text(
-        "channel_name,score,rank\na,1.0,0\nb,0.5,7\n")
-    with pytest.raises(DataError):
-        read_ranking_csv(tmp_path / "channel_scores.csv")
+def _ranking_file(ranks, header="channel_name,score,rank"):
+    return "\n".join([header] + [f"ch{i},0.5,{r}" for i, r in
+                                 enumerate(ranks)]) + "\n"
+
+
+@pytest.mark.parametrize("text", [
+    _ranking_file([0, 7]),
+    _ranking_file([0, 1], header="channel_name,score,position"),
+    _ranking_file([0, "x"]),
+    _ranking_file([0, 0] + list(range(2, 16))),
+], ids=["out_of_range", "no_rank_column", "not_an_integer",
+        "duplicate_rank"])
+def test_read_ranking_rejects_bad_rank(tmp_path, text):
+    path = tmp_path / "channel_scores.csv"
+    path.write_text(text)
+    with pytest.raises(DataError, match="channel_scores.csv"):
+        read_ranking_csv(path)

@@ -92,6 +92,20 @@ def test_attribute_and_reduce_channels(pipeline, capsys):
     assert [int(line.split(",")[0]) for line in lines[1:]] == [8, 4]
 
 
+def test_reduce_channels_malformed_scores_exit_code_2(pipeline, capsys):
+    """Rank 0 twice and no rank 1 is no ranking, though the rows left over
+    would still form a permutation."""
+    scores = pipeline / "dup_rank.csv"
+    scores.write_text("channel_name,score,rank\n" + "".join(
+        f"ch{i},0.5,{r}\n" for i, r in enumerate([0, 0, 2, 3, 4, 5, 6, 7])))
+    capsys.readouterr()
+    assert main(["reduce-channels", "--features", str(pipeline / "feat"),
+                 "--scores", str(scores), "--out", str(pipeline / "dup"),
+                 "--ks", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "dup_rank.csv" in err, err
+
+
 def test_count_with_features(pipeline, capsys):
     assert main(["count", "--features", str(pipeline / "feat")]) == 0
     out = json.loads(capsys.readouterr().out)

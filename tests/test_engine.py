@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from amdet.engine import AdamW, OptimizerConfig, Tape, Tensor, _unbroadcast
+from amdet.engine import (AdamW, OptimizerConfig, Tape, Tensor, _row_max,
+                          _unbroadcast)
 from amdet.errors import DataError, NumericalError
 
 from conftest import central_diff_grad, rel_err
@@ -88,8 +89,16 @@ def test_relu_grad(rng):
     check_op(lambda t, a: t.relu(a), x)
 
 
-def test_softmax_grad(rng):
-    check_op(lambda t, a: t.softmax(a), rng.normal(size=(3, 5)))
+# row widths 1, 3 and 10 (odd widths fold a column into the row max) and a
+# 4-D input
+ROW_SHAPES = [(3, 1), (3, 3), (3, 10), (2, 3, 4, 5)]
+ROW_IDS = ["w1", "w3", "w10", "4d"]
+
+
+@pytest.mark.parametrize("shape", [(3, 5)] + ROW_SHAPES,
+                         ids=["w5"] + ROW_IDS)
+def test_softmax_grad(rng, shape):
+    check_op(lambda t, a: t.softmax(a), rng.normal(size=shape))
 
 
 def test_softmax_rows_sum_to_one(rng):
@@ -98,10 +107,40 @@ def test_softmax_rows_sum_to_one(rng):
     np.testing.assert_allclose(p.data.sum(axis=-1), 1.0, atol=1e-12)
 
 
-def test_layer_norm_grad(rng):
+@pytest.mark.parametrize("shape", [(3, 6)] + ROW_SHAPES,
+                         ids=["w6"] + ROW_IDS)
+def test_layer_norm_grad(rng, shape):
     check_op(lambda t, a, g, b: t.layer_norm(a, g, b),
-             rng.normal(size=(3, 6)), rng.normal(size=(6,)) + 1.0,
-             rng.normal(size=(6,)), tol=1e-5)
+             rng.normal(size=shape), rng.normal(size=shape[-1:]) + 1.0,
+             rng.normal(size=shape[-1:]), tol=1e-5)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 5, 8, 10, 62])
+def test_row_ops_match_numpy_reductions(rng, width):
+    """softmax and layer_norm forward against the textbook formulas written
+    with numpy's max/sum/mean/var reductions, in float64."""
+    x = rng.normal(size=(2, 3, 4, width)) * 3
+    gain, bias = rng.normal(size=width) + 1.0, rng.normal(size=width)
+    tape = Tape()
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    assert rel_err(tape.softmax(Tensor(x)).data,
+                   e / e.sum(axis=-1, keepdims=True)) < 1e-12
+    xhat = (x - x.mean(axis=-1, keepdims=True)) \
+        / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-12)
+    out = tape.layer_norm(Tensor(x), Tensor(gain), Tensor(bias))
+    assert rel_err(out.data, xhat * gain + bias) < 1e-12
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 5, 7, 8, 10, 16, 31, 62, 63])
+def test_row_max_is_bitwise_ndarray_max(rng, width):
+    x = rng.normal(size=(2, 3, 5, width)).astype(np.float32)
+    x[0, 0, 0] = -np.inf                  # a row of -inf
+    x[0, 0, 1] = 1.5                      # a row of ties
+    x[1, 1, :, -1] = 1e30                 # the max in the leftover column
+    for view in (x, np.swapaxes(x, 0, 2)):
+        got = _row_max(view)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, view.max(axis=-1, keepdims=True))
 
 
 def test_layer_norm_normalizes():
@@ -285,6 +324,26 @@ def test_unbroadcast_matches_reference(rng, grad_shape, shape):
     got = _unbroadcast(grad, shape)
     assert got.shape == shape
     assert rel_err(got, unbroadcast_loop(grad, shape)) < 1e-12
+
+
+@pytest.mark.parametrize("dtype, swapped", [
+    (np.float32, False), (np.float64, True), (np.float32, True),
+], ids=["float32", "swapaxes_view", "float32_swapaxes_view"])
+def test_unbroadcast_keeps_dtype_and_reads_views(rng, dtype, swapped):
+    """The leading-axis GEMV keeps the gradient's dtype and reads a
+    non-contiguous gradient (a swapaxes view)."""
+    grad = rng.normal(size=(4, 3, 2, 5)).astype(dtype)
+    if swapped:
+        grad = np.swapaxes(np.swapaxes(grad, 0, 2).copy(), 0, 2)
+        assert not grad.flags.c_contiguous
+    shape = (3, 1, 5)                     # one leading and one size-1 axis
+    got = _unbroadcast(grad, shape)
+    assert got.shape == shape and got.dtype == dtype
+    # within the summation error bound: n terms, n * eps * sum(|term|)
+    exact = grad.astype(np.float64)
+    n = grad.size // got.size
+    bound = n * np.finfo(dtype).eps * unbroadcast_loop(np.abs(exact), shape)
+    assert np.all(np.abs(got - unbroadcast_loop(exact, shape)) <= bound)
 
 
 # ------------------------------------------------------------ cross-entropy
