@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import read_bytes
 from .engine import Tape, Tensor
 from .errors import DataError, NumericalError
 from .model import INFERENCE_BATCH, ModelConfig, forward, wrap_params
@@ -124,8 +125,8 @@ def write_channel_report(out_dir: str | Path, report: ChannelReport,
 def read_ranking_csv(path: str | Path) -> list[int]:
     """Recover the full channel ranking from a channel_scores.csv file, whose
     rank column holds each of 0..n-1 exactly once."""
-    with open(path, newline="") as fh:
-        ranks = [row.get("rank") for row in csv.DictReader(fh)]
+    text = read_bytes(path, "ranking file").decode("utf-8", "replace")
+    ranks = [row.get("rank") for row in csv.DictReader(text.splitlines(True))]
     if not ranks:
         raise DataError(f"{path}: empty ranking file")
     try:
@@ -135,7 +136,4 @@ def read_ranking_csv(path: str | Path) -> list[int]:
     if sorted(ranks) != list(range(len(ranks))):
         raise DataError(f"{path}: ranks are not each of 0..{len(ranks) - 1} "
                         f"exactly once")
-    ranking = [0] * len(ranks)
-    for channel, rank in enumerate(ranks):
-        ranking[rank] = channel
-    return ranking
+    return np.argsort(ranks).tolist()          # the channel at each rank

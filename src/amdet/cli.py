@@ -273,15 +273,12 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except DataError as e:
+    except (DataError, OSError) as e:   # OSError: e.g. an --out that is a file
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except (NumericalError, FloatingPointError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
-    except FileNotFoundError as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return 2
 
 
 def entry() -> None:

@@ -6,9 +6,9 @@ names the pair. `_write_pair` is the one writer and `_read_pair` the one
 reader; the reader checks the manifest's version and field types, that the
 payload exists and holds whole, finite f32 values, before any data is used.
 Recordings ("EEGR v1", channel-major) and feature files ("FEAT v1",
-sample-major) are defined here, checkpoints in `checkpoint.py`.
-`read_json_object` parses every JSON object the package reads: manifests and
-config files.
+sample-major) are defined here, checkpoints in `checkpoint.py`. Every input
+file is read by `read_bytes`, which makes any OSError a DataError, and
+`read_json_object` parses every JSON object: manifests and config files.
 
 The generator plants class-conditional sinusoids on chosen channels inside
 chosen frequency bands, on top of pink-noise background. The amplitude rides
@@ -210,14 +210,20 @@ def synth_generate(spec: SynthSpec) -> RawRecording:
 # ---------------------------------------------------- manifest + payload
 
 
+def read_bytes(path: str | Path, what: str) -> bytes:
+    """The file's bytes; any OSError becomes a DataError naming path, what."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as e:            # missing, a directory, no permission
+        why = "not found" if isinstance(e, FileNotFoundError) else "unreadable"
+        raise DataError(f"{what} {why}: {path} ({e.strerror})") from e
+
+
 def read_json_object(path: str | Path, what: str) -> dict:
-    """The JSON object in the file at path; a missing file, bytes that are
+    """The JSON object in the file at path; an unreadable file, bytes that are
     not JSON or a value that is not an object raise DataError naming path
     and what."""
-    try:
-        raw = Path(path).read_bytes()
-    except FileNotFoundError as e:
-        raise DataError(f"{what} not found: {path}") from e
+    raw = read_bytes(path, what)
     try:
         value = json.loads(raw)
     except ValueError as e:         # JSONDecodeError or UnicodeDecodeError
@@ -259,10 +265,7 @@ def _read_pair(path: str | Path, what: str,
         if not isinstance(value, kind):
             raise DataError(f"{manifest_path}: field {key!r} must be "
                             f"{kind.__name__}, got {value!r}")
-    try:
-        raw = payload_path.read_bytes()
-    except FileNotFoundError as e:
-        raise DataError(f"{what} payload not found: {payload_path}") from e
+    raw = read_bytes(payload_path, f"{what} payload")
     if len(raw) % 4:
         raise DataError(f"{payload_path}: payload length {len(raw)} bytes is "
                         "not a whole number of f32 values")
@@ -336,10 +339,10 @@ class FeatureSet:
         if self.channels is None:
             self.channels = [f"ch{i:02d}" for i in range(n_channels)]
         elif not (isinstance(self.channels, list)
-                  and len(self.channels) == n_channels
-                  and all(isinstance(c, str) for c in self.channels)):
-            raise DataError(f"channels must be a list of {n_channels} names, "
-                            f"got {self.channels!r}")
+                  and all(isinstance(c, str) for c in self.channels)
+                  and len(self.channels) == len(set(self.channels)) == n_channels):
+            raise DataError(f"channels must be a list of {n_channels} unique "
+                            f"names, got {self.channels!r}")
 
     @property
     def n_samples(self) -> int:
@@ -373,9 +376,9 @@ def write_features(path: str | Path, samples: list[SampleTensor],
                      "meta": s.meta} for i, s in enumerate(samples)],
     }
     if channels is not None:
-        if len(channels) != shape[-1]:
-            raise DataError(f"{len(channels)} channel names for {shape[-1]} "
-                            "channels")
+        if not len(channels) == len(set(channels)) == shape[-1]:
+            raise DataError(f"channels must be {shape[-1]} unique names, got "
+                            f"{channels!r}")
         manifest["channels"] = list(channels)
     _write_pair(path, manifest, np.stack([s.values for s in samples]))
 

@@ -350,20 +350,18 @@ class Tape:
 
 # ------------------------------------------------------------------- adamw
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8       # Kingma & Ba, arXiv:1412.6980
+
 
 @dataclass
 class OptimizerConfig:
     lr: float = 1e-3
     weight_decay: float = 1e-6
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_size: int = 16
 
     def __post_init__(self):
         check_numbers("optimizer", numbers.Real, lr=self.lr,
-                      weight_decay=self.weight_decay, beta1=self.beta1,
-                      beta2=self.beta2, eps=self.eps)
+                      weight_decay=self.weight_decay)
         check_numbers("optimizer", numbers.Integral, batch_size=self.batch_size)
         if self.batch_size < 1:
             raise DataError(f"optimizer: batch_size must be >= 1, got "
@@ -371,39 +369,44 @@ class OptimizerConfig:
 
 
 class AdamW:
-    """Decoupled weight decay Adam over a dict of named parameter arrays.
-
-    Every step uses the config's constant learning rate on the raw gradients
-    (no schedule, no clipping). Updates happen in place so callers can keep
-    long-lived references to the parameter arrays. Moments are keyed by
-    parameter name and have the parameters' dtype (float32 in training).
-    """
+    """Decoupled weight decay Adam (Loshchilov & Hutter, arXiv:1711.05101) at
+    the config's constant learning rate. It owns the parameters as one flat
+    buffer ``theta`` and rebinds each ``params[name]`` to a view of it (an
+    array taken out of the dict before construction is no longer updated);
+    ``m``, ``v``, ``grad`` and two work buffers are allocated here, once."""
 
     def __init__(self, params: dict[str, Array], config: OptimizerConfig):
-        self.config = config
-        self.step_count = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.config, self.step_count = config, 0
+        self.theta = np.concatenate([np.ravel(p) for p in params.values()])
+        self.m, self.v, self.grad, self._update, self._tmp = np.zeros(
+            (5, self.theta.size), self.theta.dtype)
+        cuts = np.cumsum([np.size(p) for p in params.values()])[:-1]
 
-    def step(self, params: dict[str, Array], grads: dict[str, Array]) -> None:
-        cfg = self.config
+        def views(flat):        # name -> the parameter's part of flat
+            return {name: part.reshape(np.shape(params[name]))
+                    for name, part in zip(params, np.split(flat, cuts))}
+        self._grads, self._updates = views(self.grad), views(self._update)
+        params.update(views(self.theta))
+
+    def step(self, grads: dict[str, Array | None]) -> None:
+        """Update theta; a gradient that is missing or None counts as zero."""
+        for name, view in self._grads.items():
+            view[...] = 0 if grads.get(name) is None else grads[name]
         self.step_count += 1
-        t = self.step_count
-        for name, theta in params.items():
-            g = grads.get(name)
-            if g is None:
-                g = np.zeros_like(theta)
-            m = self.m[name]
-            v = self.v[name]
-            m *= cfg.beta1
-            m += (1 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1 - cfg.beta2) * g * g
-            m_hat = m / (1 - cfg.beta1 ** t)
-            v_hat = v / (1 - cfg.beta2 ** t)
-            update = cfg.lr * (m_hat / (np.sqrt(v_hat) + cfg.eps)
-                               + cfg.weight_decay * theta)
-            if not np.all(np.isfinite(update)):
-                raise NumericalError(f"non-finite AdamW update for '{name}'")
-            theta -= update
-
+        t, lr, wd = self.step_count, self.config.lr, self.config.weight_decay
+        m, v, g, u, s = self.m, self.v, self.grad, self._update, self._tmp
+        # lr * (m_hat / (sqrt(v_hat) + eps) + wd * theta), one op at a time
+        m *= BETA1
+        m += np.multiply(g, 1 - BETA1, out=s)
+        v *= BETA2
+        v += np.multiply(np.multiply(g, 1 - BETA2, out=s), g, out=s)
+        np.divide(m, 1 - BETA1 ** t, out=u)
+        u /= np.add(np.sqrt(np.divide(v, 1 - BETA2 ** t, out=s), out=s), EPS,
+                    out=s)
+        u += np.multiply(self.theta, wd, out=s)
+        u *= lr
+        if not np.isfinite([u.min(), u.max()]).all():   # NaN if any value is
+            bad = next(name for name, part in self._updates.items()
+                       if not np.isfinite(part).all())
+            raise NumericalError(f"non-finite AdamW update for '{bad}'")
+        self.theta -= u

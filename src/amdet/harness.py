@@ -156,7 +156,8 @@ def kfold_split(n_samples: int, folds: int, mode: str, seed: int,
 def fit(x_train: np.ndarray, y_train: np.ndarray, model_cfg: ModelConfig,
         opt_cfg: OptimizerConfig, epochs: int, shuffle_seed: int
         ) -> tuple[dict[str, np.ndarray], list[float]]:
-    """Train a freshly initialized model; returns (params, per-epoch losses)."""
+    """Train a freshly initialized model; returns (params, per-epoch losses),
+    the params as views of the buffer one ``AdamW.step`` per batch updates."""
     params = init_params(model_cfg)
     x_train = np.asarray(x_train, next(iter(params.values())).dtype)
     optimizer = AdamW(params, opt_cfg)
@@ -177,9 +178,7 @@ def fit(x_train: np.ndarray, y_train: np.ndarray, model_cfg: ModelConfig,
                     f"loss diverged to {loss.data} at epoch {epoch}, "
                     f"batch starting {lo}")
             tape.backward(loss)
-            grads = {name: t.grad for name, t in tensors.items()
-                     if t.grad is not None}
-            optimizer.step(params, grads)
+            optimizer.step({name: t.grad for name, t in tensors.items()})
             total += float(loss.data) * idx.size
             seen += idx.size
         losses.append(total / seen)

@@ -159,7 +159,7 @@ def test_data_error_exit_code_2(workdir, capsys):
     # not an object, and channel names that do not name the 4 channels
     cases += [(5, "JSON object"), (dict(manifest, samples=5), "samples")]
     cases += [(dict(manifest, channels=names), "channels")
-              for names in (5, "abcd", ["a"])]
+              for names in (5, "abcd", ["a"], ["a"] * 4)]
     # a label that is not an integer, or too large for int64
     cases += [(dict(manifest, samples=[dict(manifest["samples"][0],
                                             label=label),
@@ -188,6 +188,33 @@ def test_data_error_exit_code_2(workdir, capsys):
                      "--out", str(workdir / "badfeat")]) == 2, bad
         assert capsys.readouterr().err.startswith("data error:")
     assert not (workdir / "badfeat.json").exists()
+
+
+def test_unusable_paths_exit_code_2(pipeline, capsys):
+    """A config or scores path that is a directory, an --out that is a file
+    and an output manifest that is a directory are one-line data errors."""
+    afile, adir = pipeline / "afile", pipeline / "adir"
+    afile.write_text("")
+    adir.mkdir()
+    (pipeline / "outdir.json").mkdir()
+    feat = str(pipeline / "feat")
+    checkpoint = str(pipeline / "run" / "fold0.amdw")
+    for argv in (
+            ["train", "--features", feat, "--out", str(pipeline / "cfgdir"),
+             "--config", str(adir)],
+            ["reduce-channels", "--features", feat, "--scores", str(adir),
+             "--out", str(pipeline / "scoresdir")],
+            ["train", "--features", feat, "--out", str(afile),
+             "--set", "folds=2", "--set", "epochs=1"],
+            ["attribute", "--checkpoint", checkpoint, "--features", feat,
+             "--out", str(afile)],
+            ["synth", "--out", str(pipeline / "outdir")]):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1, err
+    assert not (pipeline / "cfgdir").exists()
+    assert not (pipeline / "scoresdir").exists()
 
 
 def test_eval_negative_label_exit_code_2(pipeline, capsys):
@@ -226,6 +253,9 @@ def test_config_file_with_set_override(workdir, capsys):
     ('model.ablate="classifier"', "ablate"),
     ('ablate="spatial"', "ablate"),
     ("optimizer.grad_clip=1.0", "grad_clip"),
+    ("optimizer.beta1=0.9", "beta1"),
+    ("optimizer.beta2=0.999", "beta2"),
+    ("optimizer.eps=1e-8", "eps"),
     ('features="x"', "features"),
     ("model.seed=5", "model.seed"),
 ])

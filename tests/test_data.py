@@ -268,6 +268,14 @@ def test_features_nan_payload_rejected(tmp_path):
         read_features(tmp_path / "feat")
 
 
+def test_features_write_rejects_repeated_channel_names(tmp_path):
+    samples, bands, channels = feature_fixture()
+    with pytest.raises(DataError, match="unique"):
+        write_features(tmp_path / "feat", samples, bands,
+                       [channels[0]] * len(channels))
+    assert not (tmp_path / "feat.json").exists()
+
+
 def test_features_empty_write_rejected(tmp_path):
     with pytest.raises(DataError):
         write_features(tmp_path / "feat", [], [], None)
@@ -316,7 +324,8 @@ def test_featureset_rejects_bad_labels(labels):
         FeatureSet(np.zeros((4, 6, 4, 3)), labels, [{}] * 4, [])
 
 
-@pytest.mark.parametrize("channels", [5, "abc", ["a"], ["a", "b", 3]])
+@pytest.mark.parametrize("channels", [5, "abc", ["a"], ["a", "b", 3],
+                                      ["a", "b", "a"]])
 def test_featureset_rejects_bad_channel_names(channels):
     with pytest.raises(DataError, match="channels"):
         FeatureSet(np.zeros((4, 6, 4, 3)), np.zeros(4, int), [{}] * 4, [],

@@ -2,6 +2,7 @@
 plus cross-entropy values and AdamW behavior."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from amdet.engine import (AdamW, OptimizerConfig, Tape, Tensor, _row_max,
                           _unbroadcast)
 from amdet.errors import DataError, NumericalError
+from amdet.model import ModelConfig, init_params
 
 from conftest import central_diff_grad, rel_err
 
@@ -403,7 +405,7 @@ def test_cross_entropy_rejects_out_of_range_label(label):
 def test_adamw_zero_grad_no_decay_keeps_params():
     params = {"w": np.array([1.0, -2.0, 3.0])}
     opt = AdamW(params, OptimizerConfig(weight_decay=0.0))
-    opt.step(params, {"w": np.zeros(3)})
+    opt.step({"w": np.zeros(3)})
     np.testing.assert_array_equal(params["w"], [1.0, -2.0, 3.0])
 
 
@@ -412,7 +414,7 @@ def test_adamw_first_step_is_signed_lr():
     params = {"w": np.array([0.5, -0.5])}
     before = params["w"].copy()
     opt = AdamW(params, OptimizerConfig(lr=lr, weight_decay=0.0))
-    opt.step(params, {"w": np.array([0.3, -0.7])})
+    opt.step({"w": np.array([0.3, -0.7])})
     # bias-corrected m/sqrt(v) is exactly sign(g) at step one (up to eps)
     np.testing.assert_allclose(before - params["w"],
                                [lr, -lr], rtol=1e-4)
@@ -423,13 +425,87 @@ def test_adamw_converges_on_quadratic():
     opt = AdamW(params, OptimizerConfig(lr=5e-2, weight_decay=0.0))
     for _ in range(200):
         grad = 2.0 * (params["theta"] - 3.0)
-        opt.step(params, {"theta": grad})
+        opt.step({"theta": grad})
     assert abs(params["theta"][0] - 3.0) < 0.1
 
 
 def test_adamw_weight_decay_shrinks_params():
     params = {"w": np.array([100.0])}
     opt = AdamW(params, OptimizerConfig(lr=1e-3, weight_decay=1.0))
-    opt.step(params, {"w": np.zeros(1)})
+    opt.step({"w": np.zeros(1)})
     assert params["w"][0] < 100.0
+
+
+TOY = ModelConfig(channels=4, bands=2, frames=6, classes=2, seed=42,
+                  spectral_layers=1, spatial_layers=1,
+                  spectral_heads=2, spatial_heads=2, mlp_ratio=4)
+
+
+def adamw_reference(params, grads, m, v, t, cfg):
+    """The per-parameter AdamW loop the flat optimizer replaced: updates
+    params, m and v (dicts of arrays) in place for step t."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    for name, theta in params.items():
+        g = grads.get(name)
+        if g is None:
+            g = np.zeros_like(theta)
+        m[name] *= b1
+        m[name] += (1 - b1) * g
+        v[name] *= b2
+        v[name] += (1 - b2) * g * g
+        m_hat = m[name] / (1 - b1 ** t)
+        v_hat = v[name] / (1 - b2 ** t)
+        theta -= cfg.lr * (m_hat / (np.sqrt(v_hat) + eps)
+                           + cfg.weight_decay * theta)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adamw_matches_per_parameter_reference_bitwise(dtype, rng):
+    cfg = OptimizerConfig(lr=1e-2, weight_decay=1e-3)
+    params = {k: p.astype(dtype) for k, p in init_params(TOY).items()}
+    expected = {k: p.copy() for k, p in params.items()}
+    m = {k: np.zeros_like(p) for k, p in params.items()}
+    v = {k: np.zeros_like(p) for k, p in params.items()}
+    opt = AdamW(params, cfg)
+    missing = sorted(params)[5]               # as for an ablated block
+    for t in range(1, 6):
+        grads = {k: rng.normal(size=p.shape).astype(dtype)
+                 for k, p in params.items() if k != missing}
+        opt.step(grads)
+        adamw_reference(expected, grads, m, v, t, cfg)
+        for k in params:
+            assert params[k].dtype == dtype
+            assert params[k].tobytes() == expected[k].tobytes(), (t, k)
+
+
+def test_adamw_params_are_views_of_theta():
+    params = init_params(TOY)
+    opt = AdamW(params, OptimizerConfig())
+    assert opt.theta.size == sum(p.size for p in params.values())
+    for p in params.values():
+        assert np.shares_memory(p, opt.theta)
+
+
+def test_adamw_step_allocates_nothing_parameter_sized(rng):
+    params = init_params(ModelConfig(channels=16, bands=4, frames=6,
+                                     classes=3, seed=0))
+    opt = AdamW(params, OptimizerConfig())
+    grads = {k: rng.normal(size=p.shape).astype(p.dtype)
+             for k, p in params.items()}
+    opt.step(grads)                           # warm-up
+    tracemalloc.start()
+    try:
+        opt.step(grads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < opt.theta.nbytes / 2, (peak, opt.theta.nbytes)
+
+
+def test_adamw_non_finite_update_names_the_parameter():
+    params = {"a": np.zeros(3), "b": np.zeros((2, 2)), "c": np.zeros(4)}
+    opt = AdamW(params, OptimizerConfig())
+    with pytest.raises(NumericalError, match="'b'"):
+        opt.step({"a": np.ones(3), "b": np.array([[1.0, np.nan], [0, 0]]),
+                  "c": np.ones(4)})
 

@@ -75,6 +75,11 @@ def _drop_key(key):
     return _edit_manifest(lambda fields: fields.pop(key))
 
 
+def _to_directory(path):
+    path.unlink()
+    path.mkdir()
+
+
 FAULTS = {
     **{f"payload_short_by_{n}": _truncate(n) for n in (1, 2, 3, 4)},
     "nan_first": _nan_at(lambda n, rng: 0),
@@ -82,6 +87,10 @@ FAULTS = {
     "nan_seeded": _nan_at(lambda n, rng: rng.integers(n)),
     "payload_deleted": lambda manifest, payload, rng: payload.unlink(),
     "manifest_deleted": lambda manifest, payload, rng: manifest.unlink(),
+    "manifest_is_a_directory":
+        lambda manifest, payload, rng: _to_directory(manifest),
+    "payload_is_a_directory":
+        lambda manifest, payload, rng: _to_directory(payload),
     "manifest_cut_short": _cut_manifest,
     "version_true": _edit_manifest(lambda fields: fields.update(version=True)),
     "version_float": _edit_manifest(lambda fields: fields.update(version=1.0)),
@@ -113,8 +122,8 @@ def test_valid_pair_reads_and_exits_0(fmt, tmp_path, capsys):
 @pytest.mark.parametrize("fmt, fault", CASES)
 def test_fault_is_a_data_error_and_exits_2(fmt, fault, tmp_path, capsys):
     for seed in range(3):
-        path, read, command = _valid_pair(fmt, tmp_path)
-        _fault(fault)(tmp_path / "x.json", tmp_path / "x.f32",
+        path, read, command = _valid_pair(fmt, tmp_path / f"seed{seed}")
+        _fault(fault)(path.parent / "x.json", path.parent / "x.f32",
                       np.random.default_rng(seed))
         with pytest.raises(DataError):
             read(path)

@@ -96,7 +96,7 @@ def test_one_small_step_never_increases_loss():
         before = model_loss(params, cfg, x, y)
         grads = analytic_grads(params, cfg, x, y)
         opt = AdamW(params, OptimizerConfig(lr=1e-5, weight_decay=1e-6))
-        opt.step(params, grads)
+        opt.step(grads)
         after = model_loss(params, cfg, x, y)
         assert after <= before, f"seed {seed}: {before} -> {after}"
 

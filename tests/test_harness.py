@@ -373,7 +373,7 @@ def test_one_fit_step_computes_in_float32(monkeypatch, rng):
     f32 = {np.dtype(np.float32)}
     assert {node.out.data.dtype for node in tape.nodes} == f32
     assert {t.grad.dtype for t in leaves if t.grad is not None} == f32
-    assert {a.dtype for a in (*optimizer.m.values(), *optimizer.v.values(),
+    assert {a.dtype for a in (optimizer.m, optimizer.v,
                               *params.values())} == f32
 
 
