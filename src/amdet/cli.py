@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import numbers
 import sys
 
 from . import attribution, data, features as feat, harness
@@ -189,8 +190,14 @@ def cmd_preprocess(args) -> int:
     except TypeError as e:
         raise DataError(f"preprocess config: {e}") from e
     rec = data.read_recording(args.recording)
+    ratings = [t.label for t in rec.trials
+               if not isinstance(t.label, numbers.Integral)]
     if threshold is not None:
         rec = feat.binarize_labels(rec, threshold)
+    elif ratings:
+        raise DataError(f"{args.recording}: trial label {ratings[0]!r} is not "
+                        "a class index; set binarize_threshold to map "
+                        "ratings onto two classes")
     samples = feat.extract_features(rec, bands, **config)
     data.write_features(args.out, samples, bands, channels=rec.channels)
     shape = samples[0].values.shape

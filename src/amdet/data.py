@@ -5,9 +5,11 @@ f32le payload `name.f32`, and a path to `name`, `name.json` or `name.f32`
 names the pair. `_write_pair` is the one writer and `_read_pair` the one
 reader; the reader checks the manifest's version and field types, that the
 payload exists and holds whole, finite f32 values, before any data is used.
-Recordings ("EEGR v1", channel-major) and feature files ("FEAT v1",
-sample-major) are defined here, checkpoints in `checkpoint.py`. Every input
-file is read by `read_bytes`, which makes any OSError a DataError, and
+Each writer refuses what its reader refuses before writing anything, and a
+pair is replaced file by file through a temporary name, never overwritten
+in place. Recordings ("EEGR v1", channel-major) and feature files ("FEAT
+v1", sample-major) are defined here, checkpoints in `checkpoint.py`. Every
+input file is read by `read_bytes`, which makes any OSError a DataError, and
 `read_json_object` parses every JSON object: manifests and config files.
 
 The generator plants class-conditional sinusoids on chosen channels inside
@@ -21,13 +23,15 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError, check_numbers
-from .features import BandSpec, RawRecording, SampleTensor, Trial
+from .features import (BandSpec, RawRecording, SampleTensor, Trial,
+                       check_channel_names)
 
 
 # ------------------------------------------------------------- synthesis
@@ -243,11 +247,35 @@ def _pair_paths(path: str | Path) -> tuple[Path, Path]:
     return p.parent / (p.name + ".json"), p.parent / (p.name + ".f32")
 
 
+def _check_payload(path: Path, values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)):
+        raise DataError(f"{path}: payload contains non-finite values")
+
+
 def _write_pair(path: str | Path, manifest: dict, payload: np.ndarray) -> None:
+    """Write the pair only if `_read_pair` would accept it: the manifest must
+    encode as JSON and the payload, cast to f32, must be finite. Each file
+    goes to a temporary name beside it and is renamed over the old one,
+    payload first and manifest last, so neither is ever half written."""
     manifest_path, payload_path = _pair_paths(path)
+    try:
+        text = json.dumps({"version": 1, **manifest}, indent=1)
+    except (TypeError, ValueError) as e:     # e.g. np.int64, a cycle
+        raise DataError(f"{manifest_path}: manifest is not JSON: {e}") from e
+    with np.errstate(over="ignore"):         # overflow is inf, refused below
+        values = np.ascontiguousarray(payload, "<f4")
+    _check_payload(payload_path, values)
     manifest_path.parent.mkdir(parents=True, exist_ok=True)
-    manifest_path.write_text(json.dumps({"version": 1, **manifest}, indent=1))
-    payload_path.write_bytes(np.ascontiguousarray(payload, "<f4").tobytes())
+    files = [(payload_path, values.tobytes()), (manifest_path, text.encode())]
+    temps = [target.with_name(target.name + ".tmp") for target, _ in files]
+    try:
+        for temp, (_, content) in zip(temps, files):
+            temp.write_bytes(content)
+        for temp, (target, _) in zip(temps, files):
+            os.replace(temp, target)
+    finally:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
 
 
 def _read_pair(path: str | Path, what: str,
@@ -270,8 +298,7 @@ def _read_pair(path: str | Path, what: str,
         raise DataError(f"{payload_path}: payload length {len(raw)} bytes is "
                         "not a whole number of f32 values")
     payload = np.frombuffer(raw, dtype="<f4")
-    if not np.all(np.isfinite(payload)):
-        raise DataError(f"{payload_path}: payload contains non-finite values")
+    _check_payload(payload_path, payload)
     return manifest, payload
 
 
@@ -311,6 +338,8 @@ def read_recording(path: str | Path) -> RawRecording:
         return RawRecording(manifest["sample_rate_hz"], channels, data, trials)
     except (KeyError, TypeError, ValueError) as e:
         raise DataError(f"{path}: malformed manifest: {e!r}") from e
+    except DataError as e:          # a bad trial, channel list or rate
+        raise DataError(f"{path}: {e}") from e
 
 
 # ----------------------------------------------------------- FEAT format
@@ -338,11 +367,7 @@ class FeatureSet:
         n_channels = self.values.shape[-1]
         if self.channels is None:
             self.channels = [f"ch{i:02d}" for i in range(n_channels)]
-        elif not (isinstance(self.channels, list)
-                  and all(isinstance(c, str) for c in self.channels)
-                  and len(self.channels) == len(set(self.channels)) == n_channels):
-            raise DataError(f"channels must be a list of {n_channels} unique "
-                            f"names, got {self.channels!r}")
+        check_channel_names("features", self.channels, n_channels)
 
     @property
     def n_samples(self) -> int:
@@ -361,12 +386,20 @@ class FeatureSet:
 def write_features(path: str | Path, samples: list[SampleTensor],
                    bands: list[BandSpec] | tuple[BandSpec, ...],
                    channels: list[str] | None = None) -> None:
+    """Write samples as a FEAT pair, refusing what read_features refuses:
+    each label is checked as the reader checks it, then the samples must
+    make a valid FeatureSet (non-negative labels, one unique name per
+    channel)."""
     if not samples:
         raise DataError("cannot write an empty feature file")
     shape = samples[0].values.shape
     for i, s in enumerate(samples):
         if s.values.shape != shape:
             raise DataError(f"sample {i} shape {s.values.shape} != {shape}")
+        check_numbers(f"sample {i}", numbers.Integral, label=s.label)
+    fs = FeatureSet(np.stack([s.values for s in samples]),
+                    np.array([s.label for s in samples]),
+                    [s.meta for s in samples], list(bands), channels)
     stride = int(np.prod(shape)) * 4
     manifest = {
         "shape": list(shape),
@@ -376,11 +409,8 @@ def write_features(path: str | Path, samples: list[SampleTensor],
                      "meta": s.meta} for i, s in enumerate(samples)],
     }
     if channels is not None:
-        if not len(channels) == len(set(channels)) == shape[-1]:
-            raise DataError(f"channels must be {shape[-1]} unique names, got "
-                            f"{channels!r}")
         manifest["channels"] = list(channels)
-    _write_pair(path, manifest, np.stack([s.values for s in samples]))
+    _write_pair(path, manifest, fs.values)
 
 
 def read_features(path: str | Path) -> FeatureSet:

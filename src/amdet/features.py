@@ -52,13 +52,33 @@ DEAP_BANDS = (
 SEED_BANDS = DEAP_BANDS + (BandSpec("gamma2", 50.0, 75.0),)
 
 
+def check_channel_names(owner: str, channels, n: int) -> None:
+    """Raise DataError unless channels is a list of n unique strings."""
+    if not (isinstance(channels, list) and len(channels) == n
+            and all(isinstance(c, str) for c in channels)
+            and len(set(channels)) == n):
+        raise DataError(f"{owner}: channels must be a list of {n} unique "
+                        f"names, got {channels!r}")
+
+
 @dataclass(frozen=True)
 class Trial:
+    """Sample offsets of a trial (and of its baseline, if any) and its label:
+    a class index, or a rating that binarize_labels maps onto one."""
+
     start: int
     end: int
-    label: int
+    label: int | float
     baseline_start: int | None = None
     baseline_end: int | None = None
+
+    def __post_init__(self):
+        baseline = {"baseline_start": self.baseline_start,
+                    "baseline_end": self.baseline_end}
+        check_numbers("trial", numbers.Integral, start=self.start,
+                      end=self.end, **{k: v for k, v in baseline.items()
+                                       if v is not None})
+        check_numbers("trial", numbers.Real, label=self.label)
 
     @property
     def has_baseline(self) -> bool:
@@ -79,15 +99,14 @@ class RawRecording:
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
+        check_numbers("recording", numbers.Real,
+                      sample_rate_hz=self.sample_rate_hz)
         if not 0 < self.sample_rate_hz < math.inf:
             raise DataError("sample_rate_hz must be positive and finite")
-        if self.data.ndim != 2:
-            raise DataError(f"data must be 2-D, got shape {self.data.shape}")
-        if len(self.channels) != self.data.shape[0] or not self.channels:
-            raise DataError(
-                f"{len(self.channels)} channel names for {self.data.shape[0]} rows")
-        if len(set(self.channels)) != len(self.channels):
-            raise DataError("channel names must be unique")
+        if self.data.ndim != 2 or not self.data.shape[0]:
+            raise DataError(f"data must be 2-D with at least one channel row, "
+                            f"got shape {self.data.shape}")
+        check_channel_names("recording", self.channels, self.data.shape[0])
         n = self.data.shape[1]
         for i, t in enumerate(self.trials):
             spans = [("trial", t.start, t.end)]

@@ -12,7 +12,7 @@ import json
 import numbers
 import time
 from dataclasses import dataclass, field, fields, asdict
-from math import gcd
+from math import gcd, prod
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ from .data import FeatureSet
 from .engine import AdamW, OptimizerConfig, Tape
 from .errors import DataError, NumericalError, check_numbers
 from .model import (ModelConfig, forward, forward_flops, init_params,
-                    param_count, predict, wrap_params)
+                    param_shapes, predict, wrap_params)
 
 SPLIT_MODES = ("segment", "trial")
 K_GRID_STRIDE = 4
@@ -286,7 +286,8 @@ def write_report(out_dir: str | Path, report: RunReport) -> None:
 
 def count_params_flops(model_cfg: ModelConfig) -> tuple[int, int]:
     """(exact parameter count, 2 x matmul multiply-adds per forward pass)."""
-    return param_count(init_params(model_cfg)), forward_flops(model_cfg)
+    shapes = param_shapes(model_cfg).values()
+    return sum(prod(shape) for shape in shapes), forward_flops(model_cfg)
 
 
 def default_k_grid(channels: int) -> list[int]:

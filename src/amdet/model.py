@@ -12,8 +12,9 @@ Per sample, features (F, 2f, C) flow through:
 
 All functions operate on a batch laid out (B, F, 2f, C) and record onto an
 engine Tape so gradients are available. Parameters live in a flat name ->
-array dict; encoder weights are shared across frames by construction (the
-frame axis is just a batch axis).
+array dict whose names, shapes and order `param_shapes` alone defines;
+encoder weights are shared across frames by construction (the frame axis is
+just a batch axis).
 """
 
 from __future__ import annotations
@@ -96,50 +97,44 @@ def _rng_for(seed: int, name: str) -> np.random.Generator:
                                 zlib.crc32(name.encode())]))
 
 
-def _linear(params, seed, name, fan_in, fan_out, zero_bias=False):
-    bound = math.sqrt(1.0 / fan_in)
-    params[f"{name}.w"] = _rng_for(seed, f"{name}.w").uniform(
-        -bound, bound, (fan_in, fan_out))
-    if zero_bias:
-        params[f"{name}.b"] = np.zeros(fan_out)
-    else:
-        params[f"{name}.b"] = _rng_for(seed, f"{name}.b").uniform(
-            -bound, bound, fan_out)
-
-
-def _encoder_params(params, seed, prefix, d, hidden):
-    for proj in ("wq", "wk", "wv", "wo"):
-        _linear(params, seed, f"{prefix}.attn.{proj}", d, d)
-    for ln in ("ln1", "ln2"):
-        params[f"{prefix}.{ln}.g"] = np.ones(d)
-        params[f"{prefix}.{ln}.b"] = np.zeros(d)
-    _linear(params, seed, f"{prefix}.mlp.w1", d, hidden)
-    _linear(params, seed, f"{prefix}.mlp.w2", hidden, d)
+def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's name and shape, sorted by name: the one layout that
+    init_params, AdamW's flat buffer and checkpoints share."""
+    d2f, c = cfg.feature_dim, cfg.channels
+    shapes = {"spectral.pos": (d2f, c), "spatial.pos": (c, d2f)}
+    linears = [("temporal.score", cfg.flat_dim, 1),
+               ("classifier", cfg.flat_dim, cfg.classes)]
+    for block, layers, d in (("spectral", cfg.spectral_layers, c),
+                             ("spatial", cfg.spatial_layers, d2f)):
+        for prefix in (f"{block}.l{layer}" for layer in range(layers)):
+            linears += [(f"{prefix}.attn.{proj}", d, d)
+                        for proj in ("wq", "wk", "wv", "wo")]
+            linears += [(f"{prefix}.mlp.w1", d, d * cfg.mlp_ratio),
+                        (f"{prefix}.mlp.w2", d * cfg.mlp_ratio, d)]
+            for ln in ("ln1", "ln2"):
+                shapes[f"{prefix}.{ln}.g"] = shapes[f"{prefix}.{ln}.b"] = (d,)
+    for name, fan_in, fan_out in linears:
+        shapes[f"{name}.w"], shapes[f"{name}.b"] = (fan_in, fan_out), (fan_out,)
+    return dict(sorted(shapes.items()))
 
 
 def init_params(cfg: ModelConfig) -> dict[str, np.ndarray]:
-    """Seeded float32 parameter dict; every tensor keyed by a stable dotted
-    name."""
-    p: dict[str, np.ndarray] = {}
-    d2f, c = cfg.feature_dim, cfg.channels
-    p["spectral.pos"] = _rng_for(cfg.seed, "spectral.pos").normal(
-        0.0, 0.02, (d2f, c))
-    for layer in range(cfg.spectral_layers):
-        _encoder_params(p, cfg.seed, f"spectral.l{layer}", c,
-                        c * cfg.mlp_ratio)
-    p["spatial.pos"] = _rng_for(cfg.seed, "spatial.pos").normal(
-        0.0, 0.02, (c, d2f))
-    for layer in range(cfg.spatial_layers):
-        _encoder_params(p, cfg.seed, f"spatial.l{layer}", d2f,
-                        d2f * cfg.mlp_ratio)
-    _linear(p, cfg.seed, "temporal.score", cfg.flat_dim, 1)
-    _linear(p, cfg.seed, "classifier", cfg.flat_dim, cfg.classes,
-            zero_bias=True)
-    return {k: v.astype(np.float32) for k, v in p.items()}
-
-
-def param_count(params: dict[str, np.ndarray]) -> int:
-    return sum(v.size for v in params.values())
+    """Seeded float32 arrays in param_shapes order, each drawn in float64
+    from its own name-keyed stream: positional maps N(0, 0.02), linear
+    weights and biases U(+-1/sqrt(fan_in)), layer-norm gains 1, layer-norm
+    biases and the classifier bias 0."""
+    shapes = param_shapes(cfg)
+    params = {}
+    for name, shape in shapes.items():
+        if name.endswith(".pos"):
+            value = _rng_for(cfg.seed, name).normal(0.0, 0.02, shape)
+        elif ".ln" in name or name == "classifier.b":
+            value = np.full(shape, float(name.endswith(".g")))
+        else:                               # fan_in is the weight's rows
+            bound = math.sqrt(1.0 / shapes[name[:-1] + "w"][0])
+            value = _rng_for(cfg.seed, name).uniform(-bound, bound, shape)
+        params[name] = value.astype(np.float32)
+    return params
 
 
 def wrap_params(params: dict[str, np.ndarray]) -> dict[str, Tensor]:
@@ -313,5 +308,6 @@ def forward_flops(cfg: ModelConfig) -> int:
     """2 x multiply-adds of every matmul one single-sample forward runs."""
     tape = Tape()
     x = np.zeros((1, cfg.frames, cfg.feature_dim, cfg.channels))
-    forward(tape, wrap_params(init_params(cfg)), cfg, x)
+    zeros = {name: np.zeros(shape) for name, shape in param_shapes(cfg).items()}
+    forward(tape, wrap_params(zeros), cfg, x)
     return tape.matmul_flops()

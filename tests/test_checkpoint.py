@@ -9,7 +9,7 @@ import pytest
 from amdet.checkpoint import load_checkpoint, save_checkpoint
 from amdet.cli import main
 from amdet.data import write_features
-from amdet.engine import OptimizerConfig, Tape
+from amdet.engine import AdamW, OptimizerConfig, Tape
 from amdet.errors import DataError
 from amdet.features import DEAP_BANDS, SampleTensor
 from amdet.harness import fit
@@ -103,6 +103,57 @@ def test_checkpoint_in_the_old_single_file_layout_is_not_found(tmp_path):
     path.write_bytes(b"AMDW" + b"\x00" * 64)
     with pytest.raises(DataError, match="checkpoint manifest not found"):
         load_checkpoint(path)
+
+
+def test_saved_payload_is_the_optimizer_buffer(tmp_path):
+    params = init_params(CFG)
+    optimizer = AdamW(params, OptimizerConfig())
+    rng = np.random.default_rng(0)
+    optimizer.step({k: rng.normal(size=v.shape) for k, v in params.items()})
+    save_checkpoint(tmp_path / "m.amdw", params, CFG)
+    assert (tmp_path / "m.amdw.f32").read_bytes() == \
+        optimizer.theta.astype("<f4").tobytes()
+
+
+def test_save_accepts_the_parameters_in_any_dict_order(tmp_path):
+    params = init_params(CFG)
+    save_checkpoint(tmp_path / "a.amdw", params, CFG)
+    save_checkpoint(tmp_path / "b.amdw", dict(reversed(params.items())), CFG)
+    for ext in (".json", ".f32"):
+        assert (tmp_path / f"a.amdw{ext}").read_bytes() == \
+            (tmp_path / f"b.amdw{ext}").read_bytes()
+
+
+# edit of init_params(CFG) -> the parameter the refusal must name
+REFUSED_DICTS = {
+    "missing": (lambda p: p.pop("classifier.b"), "classifier.b"),
+    "extra": (lambda p: p.update({"temporal.bias": np.zeros(1)}),
+              "temporal.bias"),
+    "misshaped": (lambda p: p.update(
+        {"classifier.w": p["classifier.w"][:, :1]}), "classifier.w"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_DICTS))
+def test_save_refuses_a_dict_load_would_refuse(case, tmp_path):
+    params = init_params(CFG)
+    edit, name = REFUSED_DICTS[case]
+    edit(params)
+    with pytest.raises(DataError, match=f"checkpoint parameter .*'{name}'"):
+        save_checkpoint(tmp_path / "m.amdw", params, CFG)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_save_and_load_draw_no_random_numbers(tmp_path, monkeypatch):
+    params = init_params(CFG)
+
+    def no_draws(seed, name):
+        raise AssertionError(f"drew random numbers for {name}")
+    monkeypatch.setattr("amdet.model._rng_for", no_draws)
+    save_checkpoint(tmp_path / "m.amdw", params, CFG)
+    loaded, cfg, _ = load_checkpoint(tmp_path / "m.amdw")
+    assert cfg == CFG
+    assert all(np.array_equal(loaded[k], params[k]) for k in params)
 
 
 def test_checkpoint_truncated_payload_rejected(tmp_path):

@@ -350,6 +350,23 @@ def test_synth_set_keeps_default_planted_signatures(tmp_path):
             (tmp_path / f"lib{ext}").read_bytes()
 
 
+def test_rating_labels_need_binarize_threshold(tmp_path, capsys):
+    rec = synth_generate(default_synth_spec(
+        channels=4, trials_per_class=2, trial_seconds=3.0))
+    write_recording(tmp_path / "rec", rec)
+    manifest = json.loads((tmp_path / "rec.json").read_text())
+    for trial, rating in zip(manifest["trials"], [1.5, 7.0, 3.2, 8.8, 5.5, 2]):
+        trial["label"] = rating
+    (tmp_path / "rec.json").write_text(json.dumps(manifest))
+    command = ["preprocess", "--recording", str(tmp_path / "rec"),
+               "--out", str(tmp_path / "feat"), "--set", 'bands="deap"']
+    assert main(command) == 2
+    assert "binarize_threshold" in capsys.readouterr().err
+    assert not list(tmp_path.glob("feat*"))
+    assert main(command + ["--set", "binarize_threshold=5"]) == 0
+    assert sorted(set(read_features(tmp_path / "feat").labels)) == [0, 1]
+
+
 PLANTED = '{"class_index":0,"channels":[0],"lo_hz":8,"hi_hz":14,"amplitude":2.0'
 
 

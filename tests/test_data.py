@@ -186,9 +186,15 @@ def test_recording_version_mismatch_rejected(tmp_path):
 
 def test_recording_nan_payload_rejected(tmp_path):
     rec = synth_generate(small_spec())
-    rec.data[0, 0] = np.nan
     write_recording(tmp_path / "rec", rec)
-    with pytest.raises(DataError, match="non-finite"):
+    good = (tmp_path / "rec.f32").read_bytes()
+    rec.data[0, 0] = np.nan
+    with pytest.raises(DataError, match="non-finite"):   # the writer refuses
+        write_recording(tmp_path / "bad", rec)
+    assert not list(tmp_path.glob("bad*"))
+    (tmp_path / "rec.f32").write_bytes(
+        np.array([np.nan], "<f4").tobytes() + good[4:])
+    with pytest.raises(DataError, match="non-finite"):   # so does the reader
         read_recording(tmp_path / "rec")
 
 
@@ -262,9 +268,15 @@ def test_features_version_mismatch(tmp_path):
 
 def test_features_nan_payload_rejected(tmp_path):
     samples, bands, channels = feature_fixture()
-    samples[0].values[0, 0, 0] = np.nan
     write_features(tmp_path / "feat", samples, bands, channels)
-    with pytest.raises(DataError, match="non-finite"):
+    good = (tmp_path / "feat.f32").read_bytes()
+    samples[0].values[0, 0, 0] = np.nan
+    with pytest.raises(DataError, match="non-finite"):   # the writer refuses
+        write_features(tmp_path / "bad", samples, bands, channels)
+    assert not list(tmp_path.glob("bad*"))
+    (tmp_path / "feat.f32").write_bytes(
+        np.array([np.nan], "<f4").tobytes() + good[4:])
+    with pytest.raises(DataError, match="non-finite"):   # so does the reader
         read_features(tmp_path / "feat")
 
 

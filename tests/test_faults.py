@@ -1,7 +1,11 @@
 """Fault injection: every corruption of an EEGR, FEAT or checkpoint pair is a
-DataError from its reader and exit code 2 from the command that reads it."""
+DataError from its reader and exit code 2 from the command that reads it;
+every writer refuses what its reader would refuse, leaving no file, and an
+interrupted write leaves the previous pair as it was."""
 
 import json
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,19 +21,28 @@ from amdet.model import ModelConfig, init_params
 CFG = ModelConfig(channels=4, bands=2, frames=6, classes=2, seed=3)
 
 
-def _write_features(path):
-    rng = np.random.default_rng(0)
-    write_features(path, [SampleTensor(rng.normal(size=(
-        CFG.frames, CFG.feature_dim, CFG.channels)), i % 2) for i in range(4)],
-        DEAP_BANDS[:CFG.bands])
+def _samples(seed=0):
+    rng = np.random.default_rng(seed)
+    return [SampleTensor(rng.normal(size=(
+        CFG.frames, CFG.feature_dim, CFG.channels)), i % 2, {"seed": seed})
+            for i in range(4)]
 
 
-# format -> (write a tiny valid pair, its reader, the command that reads it,
-#            the manifest keys it requires)
+def _write_features(path, seed=0):
+    write_features(path, _samples(seed), DEAP_BANDS[:CFG.bands])
+
+
+def _recording(**overrides):
+    return synth_generate(default_synth_spec(**{
+        "channels": 4, "trials_per_class": 1, "trial_seconds": 3.0,
+        "sample_rate_hz": 200.0, **overrides}))
+
+
+# format -> (write a tiny valid pair, different for each seed, its reader,
+#            the command that reads it, the manifest keys it requires)
 FORMATS = {
-    "eegr": (lambda p: write_recording(p, synth_generate(default_synth_spec(
-                 channels=4, trials_per_class=1, trial_seconds=3.0,
-                 sample_rate_hz=200.0))),
+    "eegr": (lambda p, seed=0: write_recording(p, _recording(
+                 seed=seed, trials_per_class=1 + seed)),
              read_recording,
              lambda p: ["preprocess", "--recording", str(p),
                         "--out", str(p.parent / "out")],
@@ -37,7 +50,9 @@ FORMATS = {
     "feat": (_write_features, read_features,
              lambda p: ["count", "--features", str(p)],
              ("version", "shape", "samples")),
-    "checkpoint": (lambda p: save_checkpoint(p, init_params(CFG), CFG),
+    "checkpoint": (lambda p, seed=3: save_checkpoint(
+                       p, init_params(replace(CFG, seed=seed)),
+                       replace(CFG, seed=seed)),
                    load_checkpoint,
                    lambda p: ["eval", "--checkpoint", str(p),
                               "--features", str(p.parent / "eval")],
@@ -130,3 +145,119 @@ def test_fault_is_a_data_error_and_exits_2(fmt, fault, tmp_path, capsys):
         capsys.readouterr()
         assert main(command) == 2
         assert capsys.readouterr().err.startswith("data error:")
+
+
+# ----------------------------------------------- bad EEGR manifest fields
+
+
+def _edit_trial(key, value):
+    return _edit_manifest(lambda fields: fields["trials"][0].update(
+        {key: value}))
+
+
+RECORDING_FAULTS = {
+    "start_float": _edit_trial("start", 1.5),
+    "end_bool": _edit_trial("end", True),
+    "baseline_start_float": _edit_trial("baseline_start", 0.5),
+    "label_string": _edit_trial("label", "x"),
+    "label_bool": _edit_trial("label", True),
+    "label_null": _edit_trial("label", None),
+    "channels_not_strings": _edit_manifest(
+        lambda fields: fields.update(channels=[1, 2, 3, 4])),
+    "sample_rate_bool": _edit_manifest(
+        lambda fields: fields.update(sample_rate_hz=True)),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(RECORDING_FAULTS))
+def test_bad_recording_field_names_the_file_and_exits_2(fault, tmp_path,
+                                                        capsys):
+    path, read, command = _valid_pair("eegr", tmp_path)
+    RECORDING_FAULTS[fault](path.parent / "x.json", None, None)
+    with pytest.raises(DataError, match=str(path)):
+        read(path)
+    capsys.readouterr()
+    assert main(command) == 2
+    assert capsys.readouterr().err.startswith(f"data error: {path}")
+
+
+# ------------------------------------------------- writers refuse, cleanly
+
+
+def _features_with(label=None, meta=None, value=None, channels=None):
+    samples = _samples()
+    if label is not None:
+        samples[1].label = label
+    if meta is not None:
+        samples[1].meta = meta
+    if value is not None:
+        samples[1].values[0, 0, 0] = value
+    return lambda p: write_features(p, samples, DEAP_BANDS[:CFG.bands],
+                                    channels)
+
+
+def _nan_weight(path):
+    params = init_params(CFG)
+    params["classifier.w"][0, 0] = np.nan
+    save_checkpoint(path, params, CFG)
+
+
+REFUSED_WRITES = {
+    "eegr_beyond_f32_range": lambda p: write_recording(
+        p, _recording(noise_scale=1e39)),
+    "feat_label_real": _features_with(label=1.7),
+    "feat_label_integral_float": _features_with(label=1.0),
+    "feat_label_bool": _features_with(label=True),
+    "feat_label_negative": _features_with(label=-1),
+    "feat_label_string": _features_with(label="x"),
+    "feat_meta_numpy_int": _features_with(meta={"trial": np.int64(1)}),
+    "feat_value_inf": _features_with(value=np.inf),
+    "feat_channels_not_strings": _features_with(channels=[1, 2, 3, 4]),
+    "checkpoint_nan_weight": _nan_weight,
+    "checkpoint_extra_not_json": lambda p: save_checkpoint(
+        p, init_params(CFG), CFG, extra={"fold": np.int64(0)}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_WRITES))
+def test_refused_write_is_a_data_error_and_leaves_no_file(case, tmp_path):
+    with pytest.raises(DataError):
+        REFUSED_WRITES[case](tmp_path / "x")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_synth_beyond_f32_range_exits_2_and_writes_nothing(tmp_path, capsys):
+    assert main(["synth", "--out", str(tmp_path / "rec"),
+                 "--set", "noise_scale=1e39",
+                 "--set", "trials_per_class=1"]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("failing_call", [0, 1], ids=["payload", "manifest"])
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_interrupted_replace_keeps_the_previous_files(fmt, failing_call,
+                                                      tmp_path, monkeypatch):
+    write = FORMATS[fmt][0]
+    write(tmp_path / "x")
+    before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+    calls = []
+
+    def replace_or_fail(src, dst):
+        calls.append(dst)
+        if len(calls) > failing_call:
+            raise OSError("interrupted")
+        real_replace(src, dst)
+    real_replace = os.replace
+    monkeypatch.setattr("amdet.data.os.replace", replace_or_fail)
+    with pytest.raises(OSError, match="interrupted"):
+        write(tmp_path / "x", seed=5)         # a different pair
+    after = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+    assert set(after) == set(before)          # no temporary file is left
+    assert after["x.json"] == before["x.json"]
+    # the payload goes first: only a failure after it was renamed changes it
+    assert (after["x.f32"] == before["x.f32"]) == (failing_call == 0)
+    monkeypatch.undo()
+    write(tmp_path / "x", seed=5)             # uninterrupted, both change
+    assert all((tmp_path / name).read_bytes() != before[name]
+               for name in before)

@@ -10,8 +10,9 @@ from conftest import params64
 from amdet.engine import Tape, Tensor
 from amdet.errors import DataError, NumericalError
 from amdet.model import (ModelConfig, classify, encoder_layer, forward,
-                         init_params, mha, param_count, spatial_block,
+                         init_params, mha, param_shapes, spatial_block,
                          spectral_block, temporal_block, wrap_params)
+from amdet.model import _rng_for
 
 TOY = ModelConfig(channels=4, bands=2, frames=6, classes=2, seed=7,
                   mlp_ratio=4)
@@ -373,7 +374,7 @@ def test_weight_sharing_param_set_independent_of_frames():
     spectral_a = {k for k in pa if k.startswith("spectral")}
     spectral_b = {k for k in pb if k.startswith("spectral")}
     assert spectral_a == spectral_b
-    assert param_count(pa) == param_count(pb)
+    assert param_shapes(cfg_a) == param_shapes(cfg_b)
 
 
 def test_init_deterministic_and_name_keyed():
@@ -384,6 +385,67 @@ def test_init_deterministic_and_name_keyed():
     pc = init_params(ModelConfig(channels=4, bands=2, frames=6, classes=2,
                                  seed=8, mlp_ratio=4))
     assert any(not np.array_equal(pa[k], pc[k]) for k in pa)
+
+
+def init_params_reference(cfg):
+    """The parameters built block by block, in forward order, with the
+    per-name draws written out: the oracle init_params must match."""
+    def linear(p, name, fan_in, fan_out, zero_bias=False):
+        bound = math.sqrt(1.0 / fan_in)
+        p[f"{name}.w"] = _rng_for(cfg.seed, f"{name}.w").uniform(
+            -bound, bound, (fan_in, fan_out))
+        p[f"{name}.b"] = np.zeros(fan_out) if zero_bias else _rng_for(
+            cfg.seed, f"{name}.b").uniform(-bound, bound, fan_out)
+
+    def encoder(p, prefix, d, hidden):
+        for proj in ("wq", "wk", "wv", "wo"):
+            linear(p, f"{prefix}.attn.{proj}", d, d)
+        for ln in ("ln1", "ln2"):
+            p[f"{prefix}.{ln}.g"] = np.ones(d)
+            p[f"{prefix}.{ln}.b"] = np.zeros(d)
+        linear(p, f"{prefix}.mlp.w1", d, hidden)
+        linear(p, f"{prefix}.mlp.w2", hidden, d)
+
+    p = {}
+    d2f, c = cfg.feature_dim, cfg.channels
+    p["spectral.pos"] = _rng_for(cfg.seed, "spectral.pos").normal(
+        0.0, 0.02, (d2f, c))
+    for layer in range(cfg.spectral_layers):
+        encoder(p, f"spectral.l{layer}", c, c * cfg.mlp_ratio)
+    p["spatial.pos"] = _rng_for(cfg.seed, "spatial.pos").normal(
+        0.0, 0.02, (c, d2f))
+    for layer in range(cfg.spatial_layers):
+        encoder(p, f"spatial.l{layer}", d2f, d2f * cfg.mlp_ratio)
+    linear(p, "temporal.score", cfg.flat_dim, 1)
+    linear(p, "classifier", cfg.flat_dim, cfg.classes, zero_bias=True)
+    return {k: v.astype(np.float32) for k, v in p.items()}
+
+
+LAYOUT_CFGS = [
+    ModelConfig(channels=16, bands=4, frames=6, classes=3, seed=0),
+    replace(SEED_CFG, seed=7),
+    ModelConfig(channels=4, bands=2, frames=6, classes=2, seed=3,
+                mlp_ratio=4, spectral_layers=2, spatial_layers=3),
+]
+
+
+@pytest.mark.parametrize("cfg", LAYOUT_CFGS, ids=["c16", "c62", "layers"])
+def test_init_params_matches_reference_bitwise(cfg):
+    got, want = init_params(cfg), init_params_reference(cfg)
+    assert sorted(got) == sorted(want)
+    for name in want:
+        assert got[name].dtype == want[name].dtype == np.float32
+        assert got[name].shape == want[name].shape
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+@pytest.mark.parametrize("cfg", LAYOUT_CFGS, ids=["c16", "c62", "layers"])
+def test_param_shapes_is_sorted_and_is_the_init_layout(cfg):
+    shapes = param_shapes(cfg)
+    assert list(shapes) == sorted(shapes)
+    params = init_params(cfg)
+    assert list(params) == list(shapes)
+    assert {k: v.shape for k, v in params.items()} == shapes
 
 
 def test_init_layernorm_and_classifier_bias():
