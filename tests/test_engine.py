@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from amdet import engine
 from amdet.engine import (AdamW, OptimizerConfig, Tape, Tensor, _row_max,
                           _unbroadcast)
 from amdet.errors import DataError, NumericalError
@@ -509,3 +510,22 @@ def test_adamw_non_finite_update_names_the_parameter():
         opt.step({"a": np.ones(3), "b": np.array([[1.0, np.nan], [0, 0]]),
                   "c": np.ones(4)})
 
+
+
+@pytest.mark.skipif(not engine._pin_malloc_thresholds(), reason="not glibc")
+def test_freed_temporaries_are_reused_not_faulted_in_again():
+    """Rounds of 80 MB of 8 MB arrays, each freed before the next: with the
+    thresholds pinned, only the first round faults pages in (glibc's default
+    thresholds trim the heap after each round and refault over 15 thousand
+    pages in the next three)."""
+    import resource
+
+    def one_round():
+        arrays = [np.ones(1 << 20) for _ in range(10)]
+        del arrays
+
+    one_round()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(3):
+        one_round()
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
