@@ -53,9 +53,11 @@ def grad_cam_channels(params: dict[str, np.ndarray], cfg: ModelConfig,
         raise DataError(f"target classes must lie in [0, {cfg.classes}), got "
                         f"values from {classes.min()} to {classes.max()}")
     tape = Tape()
-    logits, aux = forward(tape, wrap_params(params), cfg, samples)
+    # only the input's gradient is read: parameters and the one-hot get none
+    logits, aux = forward(tape, wrap_params(params, needs_grad=False), cfg,
+                          samples)
     onehot = Tensor(np.eye(cfg.classes, dtype=logits.data.dtype)[classes],
-                    name="onehot")
+                    name="onehot", needs_grad=False)
     tape.backward(tape.sum_all(tape.mul(logits, onehot)))
     act, grad = aux["input"].data, aux["input"].grad
     if not (np.all(np.isfinite(act)) and np.all(np.isfinite(grad))):

@@ -21,9 +21,14 @@ one, so float32 loss curves differ in the last bits from those of the
 per-row reductions.
 
 A ``Tape`` records ops in execution order (which is already a topological
-order), and ``Tape.backward`` replays it in reverse, accumulating gradients
-onto every ``Tensor`` touched. There is no graph pruning: a tape is built for
-one forward pass, differentiated at most once, and discarded.
+order), and ``Tape.backward`` replays it in reverse. Only leaves keep their
+gradients: a produced tensor's gradient is freed as soon as the node that
+produced it has used it. A tensor needs a gradient if it is a leaf created
+with ``needs_grad=True`` (the default) or if any input of the op that
+produced it needs one; a tensor that needs none gets none, and no op computes
+a gradient for such an input (attribution differentiates with respect to the
+input alone, so its parameters are wrapped with ``needs_grad=False``). A tape
+is built for one forward pass, differentiated at most once, and discarded.
 
 Gradients are never written in place. The first gradient reaching a tensor is
 stored as returned (it may be a view of, or the same array as, another
@@ -89,18 +94,20 @@ _pin_malloc_thresholds()
 
 class Tensor:
     """A value recorded on a tape. Holds the forward array and, after
-    ``Tape.backward``, the gradient of the differentiated scalar w.r.t. it.
+    ``Tape.backward`` and if it is a leaf with ``needs_grad``, the gradient of
+    the differentiated scalar w.r.t. it.
 
     A floating array keeps its dtype, so ops compute in the dtype of their
     inputs; anything else (Python numbers, integers) becomes float64."""
 
-    __slots__ = ("data", "grad", "name")
+    __slots__ = ("data", "grad", "name", "needs_grad")
 
-    def __init__(self, data, name: str = "tensor"):
+    def __init__(self, data, name: str = "tensor", needs_grad: bool = True):
         data = np.asarray(data)
         self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.grad: Array | None = None
         self.name = name
+        self.needs_grad = needs_grad
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -164,6 +171,7 @@ class Tape:
         self.nodes: list[_Node] = []
 
     def _record(self, op, out, inputs, backward) -> Tensor:
+        out.needs_grad = any(t.needs_grad for t in inputs)
         self.nodes.append(_Node(op, out, inputs, backward))
         return out
 
@@ -180,15 +188,17 @@ class Tape:
 
             def backward(g):
                 g = g.reshape(-1, n)
-                return (g @ b.data.T).reshape(a.data.shape), rows.T @ g
+                ga = (g @ b.data.T).reshape(a.data.shape) if a.needs_grad \
+                    else None
+                return ga, rows.T @ g if b.needs_grad else None
         else:
             out = Tensor(a.data @ b.data, _name("matmul", a, b))
 
             def backward(g):
                 ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2),
-                                  a.data.shape)
+                                  a.data.shape) if a.needs_grad else None
                 gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g,
-                                  b.data.shape)
+                                  b.data.shape) if b.needs_grad else None
                 return ga, gb
 
         return self._record("matmul", out, (a, b), backward)
@@ -197,7 +207,8 @@ class Tape:
         out = Tensor(a.data + b.data, _name("add", a, b))
 
         def backward(g):
-            return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+            return (_unbroadcast(g, a.data.shape) if a.needs_grad else None,
+                    _unbroadcast(g, b.data.shape) if b.needs_grad else None)
 
         return self._record("add", out, (a, b), backward)
 
@@ -205,8 +216,11 @@ class Tape:
         out = Tensor(a.data * b.data, _name("mul", a, b))
 
         def backward(g):
-            return (_unbroadcast(g * b.data, a.data.shape),
-                    _unbroadcast(g * a.data, b.data.shape))
+            ga = _unbroadcast(g * b.data, a.data.shape) if a.needs_grad \
+                else None
+            gb = _unbroadcast(g * a.data, b.data.shape) if b.needs_grad \
+                else None
+            return ga, gb
 
         return self._record("mul", out, (a, b), backward)
 
@@ -251,8 +265,8 @@ class Tape:
 
         def backward(g):
             grads, pos = [], 0
-            for w in widths:
-                grads.append(g[..., pos:pos + w])
+            for p, w in zip(parts, widths):
+                grads.append(g[..., pos:pos + w] if p.needs_grad else None)
                 pos += w
             return tuple(grads)
 
@@ -291,12 +305,15 @@ class Tape:
         out = Tensor(xhat * gain.data + bias.data, _name("layer_norm", a))
 
         def backward(g):
-            gx_hat = g * gain.data
-            term = gx_hat - _row_sum(gx_hat) / n \
-                - xhat * (_row_sum(gx_hat, xhat) / n)
-            ga = inv * term
-            ggain = _unbroadcast(g * xhat, gain.data.shape)
-            gbias = _unbroadcast(g, bias.data.shape)
+            ga = ggain = gbias = None
+            if a.needs_grad:
+                gx_hat = g * gain.data
+                ga = inv * (gx_hat - _row_sum(gx_hat) / n
+                            - xhat * (_row_sum(gx_hat, xhat) / n))
+            if gain.needs_grad:
+                ggain = _unbroadcast(g * xhat, gain.data.shape)
+            if bias.needs_grad:
+                gbias = _unbroadcast(g, bias.data.shape)
             return ga, ggain, gbias
 
         return self._record("layer_norm", out, (a, gain, bias), backward)
@@ -340,7 +357,9 @@ class Tape:
     # ------------------------------------------------------------- backward
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(tensor) into ``.grad`` of every recorded tensor.
+        """Accumulate d(loss)/d(leaf) into ``.grad`` of every leaf that needs
+        a gradient; produced tensors and leaves with ``needs_grad=False`` end
+        with ``.grad`` None.
 
         Gradients are checked for finiteness once, on the leaves, after the
         pass. If one is not finite, the pass is replayed from cleared
@@ -366,12 +385,15 @@ class Tape:
         raise NumericalError(f"non-finite gradient accumulated for '{bad.name}'")
 
     def _reverse(self, loss: Tensor, check: bool) -> None:
-        loss.grad = np.ones_like(loss.data)
+        loss.grad = np.ones_like(loss.data) if loss.needs_grad else None
         for node in reversed(self.nodes):
-            g = node.out.grad
+            # a produced tensor's gradient is freed once its node has used it
+            g, node.out.grad = node.out.grad, None
             if g is None:
                 continue
             for inp, gi in zip(node.inputs, node.backward(g)):
+                if gi is None:
+                    continue
                 if check and not np.all(np.isfinite(gi)):
                     raise NumericalError(
                         f"non-finite gradient produced by op '{node.op}' "

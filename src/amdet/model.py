@@ -137,9 +137,12 @@ def init_params(cfg: ModelConfig) -> dict[str, np.ndarray]:
     return params
 
 
-def wrap_params(params: dict[str, np.ndarray]) -> dict[str, Tensor]:
-    """Fresh Tensor views over the live parameter arrays for one tape."""
-    return {k: Tensor(v, name=k) for k, v in params.items()}
+def wrap_params(params: dict[str, np.ndarray], needs_grad: bool = True
+                ) -> dict[str, Tensor]:
+    """Fresh Tensor views over the live parameter arrays for one tape;
+    training needs their gradients, attribution does not."""
+    return {k: Tensor(v, name=k, needs_grad=needs_grad)
+            for k, v in params.items()}
 
 
 # ----------------------------------------------------------------- forward
@@ -247,7 +250,7 @@ def temporal_block(tape: Tape, p: dict[str, Tensor], cfg: ModelConfig,
     flat = tape.reshape(x, (b, f, cfg.flat_dim))
     if cfg.ablate == "temporal":
         weights = Tensor(np.full((b, f), 1.0 / f, dtype=x.data.dtype),
-                         name="uniform_weights")
+                         name="uniform_weights", needs_grad=False)
     else:
         scores = tape.add(tape.matmul(flat, p["temporal.score.w"]),
                           p["temporal.score.b"])

@@ -9,7 +9,7 @@ from amdet.attribution import (ChannelReport, grad_cam_channels,
                                rank_channels, read_ranking_csv,
                                select_channels, write_channel_report)
 from amdet.data import FeatureSet, default_synth_spec, synth_generate
-from amdet.engine import OptimizerConfig, Tape
+from amdet.engine import OptimizerConfig, Tape, Tensor
 from amdet.errors import DataError
 from amdet.features import DEAP_BANDS, extract_features
 from amdet.harness import ExperimentConfig, fit
@@ -109,6 +109,29 @@ def test_rank_channels_matches_per_sample_oracle():
     np.testing.assert_allclose(report.scores, oracle, rtol=1e-12, atol=0)
     assert report.ranking == [int(i) for i in np.argsort(-oracle,
                                                          kind="stable")]
+
+
+def grad_cam_all_gradients(params, cfg, samples, classes):
+    """Reference: grad_cam_channels with every parameter and the one-hot
+    needing a gradient, as the backward pass computed it before parameter
+    gradients could be skipped."""
+    tape = Tape()
+    logits, aux = forward(tape, wrap_params(params), cfg, samples)
+    onehot = Tensor(np.eye(cfg.classes, dtype=logits.data.dtype)[classes])
+    tape.backward(tape.sum_all(tape.mul(logits, onehot)))
+    act, grad = aux["input"].data, aux["input"].grad
+    relevance = np.maximum(grad.mean(axis=-2) * act.mean(axis=-2), 0.0)
+    return relevance.mean(axis=1)
+
+
+@pytest.mark.parametrize("cfg", [CFG, ModelConfig(
+    channels=62, bands=5, frames=6, classes=3, seed=1)], ids=["toy", "c62"])
+def test_grad_cam_matches_all_gradient_reference_bitwise(cfg):
+    params = init_params(cfg)
+    x, y = batch_for(cfg, INFERENCE_BATCH, seed=4)
+    np.testing.assert_array_equal(
+        grad_cam_channels(params, cfg, x, y),
+        grad_cam_all_gradients(params, cfg, x.astype(np.float32), y))
 
 
 def test_no_inference_forward_exceeds_the_chunk(monkeypatch):

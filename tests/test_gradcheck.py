@@ -3,7 +3,7 @@
 import numpy as np
 
 from conftest import params64
-from amdet.engine import Tape
+from amdet.engine import Tape, Tensor
 from amdet.model import ModelConfig, forward, init_params, wrap_params
 
 TOY = ModelConfig(channels=4, bands=2, frames=6, classes=2, seed=42,
@@ -80,6 +80,34 @@ def test_gradcheck_covers_every_parameter_tensor():
     params = init_params(TOY)
     worst = max_rel_error_per_tensor(TOY, n_coords=1)
     assert set(worst) == set(params)
+
+
+def test_only_leaves_that_need_gradients_keep_them():
+    """After backward no produced tensor holds a gradient. Marking half the
+    parameters needs_grad=False gives them None and leaves every other
+    parameter's float32 gradient bit for bit as when all need one."""
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(3, TOY.frames, TOY.feature_dim, TOY.channels))
+    y = rng.integers(0, TOY.classes, size=3)
+    params = init_params(TOY)
+
+    def grads(frozen):
+        tape = Tape()
+        tensors = {k: Tensor(v, name=k, needs_grad=k not in frozen)
+                   for k, v in params.items()}
+        logits, _ = forward(tape, tensors, TOY, x)
+        tape.backward(tape.cross_entropy(logits, y))
+        assert all(node.out.grad is None for node in tape.nodes)
+        return {k: t.grad for k, t in tensors.items()}
+
+    full = grads(frozen=set())
+    frozen = set(list(params)[::2])
+    part = grads(frozen)
+    for k in params:
+        if k in frozen:
+            assert part[k] is None, k
+        else:
+            np.testing.assert_array_equal(part[k], full[k], err_msg=k)
 
 
 def test_one_small_step_never_increases_loss():
