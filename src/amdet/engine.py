@@ -10,7 +10,8 @@ activation (more than 2 dims) with a shared 2-D weight is one 2-D GEMM over
 the flattened rows, forward and for both gradients, rather than one GEMM per
 leading index. A sample's float32 result may then differ in the last bits
 with its row position in the batch; a given batch still computes bitwise the
-same on every run.
+same on every run, at any BLAS thread count: the weight gradient's GEMM
+sums over the rows padded with zeros to a multiple of ``ROW_BLOCK``.
 
 Reductions over short rows are single-pass contractions, because numpy's
 ``ufunc.reduce`` pays a fixed cost per row: softmax and layer norm take their
@@ -62,6 +63,9 @@ Array = np.ndarray
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3     # glibc mallopt parameters
 MMAP_THRESHOLD = 32 << 20       # glibc's largest on 64-bit
 TRIM_THRESHOLD = 256 << 20
+# a GEMM that sums over a multiple of this many rows gives the same bits at
+# any thread count (measured with OpenBLAS 0.3.31); other counts did not
+ROW_BLOCK = 32
 
 
 def _pin_malloc_thresholds() -> bool:
@@ -129,6 +133,23 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     return grad.sum(axis=axes, keepdims=True) if axes else grad
 
 
+def _sum_over_rows(a: Array, b: Array) -> Array:
+    """``a.T @ b`` for 2-D ``a`` and ``b`` with the same rows, with bits that
+    do not depend on the BLAS thread count.
+
+    OpenBLAS splits a GEMM's summed dimension between threads, at points
+    that move with the thread count unless the rows are a multiple of
+    ``ROW_BLOCK``, so the rows are padded with zeros to one; zero rows add
+    nothing to the sum. With one column numpy runs a GEMV instead, which is
+    left alone: padding changes its bits at every thread count, and on the
+    model's GEMVs (the temporal score, at most 96 rows at batch 16) one and
+    two threads agreed unpadded."""
+    extra = -a.shape[0] % ROW_BLOCK
+    if extra and b.shape[1] > 1:
+        a, b = (np.pad(x, ((0, extra), (0, 0))) for x in (a, b))
+    return a.T @ b
+
+
 def _row_sum(a: Array, b: Array | None = None) -> Array:
     """Sum over the last axis of ``a`` (of ``a * b`` if ``b`` is given) as
     one contraction, keeping that axis with length 1. ``ufunc.reduce`` pays a
@@ -190,7 +211,7 @@ class Tape:
                 g = g.reshape(-1, n)
                 ga = (g @ b.data.T).reshape(a.data.shape) if a.needs_grad \
                     else None
-                return ga, rows.T @ g if b.needs_grad else None
+                return ga, _sum_over_rows(rows, g) if b.needs_grad else None
         else:
             out = Tensor(a.data @ b.data, _name("matmul", a, b))
 

@@ -1,5 +1,11 @@
 """Analytic gradients of the full model loss vs central finite differences."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from conftest import params64
@@ -147,3 +153,38 @@ def test_training_is_bitwise_deterministic():
     b, _ = fit(x, y, cfg, opt, epochs=3, shuffle_seed=1)
     for name in a:
         np.testing.assert_array_equal(a[name], b[name])
+
+
+# a C=62 fit of 25 samples at batch 16: the second batch holds 9 samples, so
+# the shared-weight products sum over 9*6*62 = 3348 or 9*6*10 = 540 rows,
+# neither a multiple of 32; prints each parameter's bytes as hex
+FIT_C62 = """
+import json
+import numpy as np
+from amdet.engine import OptimizerConfig
+from amdet.harness import fit
+from amdet.model import ModelConfig
+rng = np.random.default_rng(0)
+x = rng.normal(size=(25, 6, 10, 62))
+params, _ = fit(x, np.arange(25) % 3, ModelConfig(62, 5, 6, 3, seed=0),
+                OptimizerConfig(), epochs=1, shuffle_seed=0)
+print(json.dumps({k: v.tobytes().hex() for k, v in params.items()}))
+"""
+
+
+def test_training_is_bitwise_identical_at_one_and_two_blas_threads():
+    """Every weight and bias, partial batch included, has the same bytes
+    whether the BLAS runs one thread or two."""
+    import amdet
+
+    src = str(Path(amdet.__file__).resolve().parents[1])
+    weights = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        run = subprocess.run([sys.executable, "-c", FIT_C62], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        weights.append(json.loads(run.stdout))
+    differ = [k for k in weights[0] if weights[0][k] != weights[1][k]]
+    assert not differ, f"differ between 1 and 2 BLAS threads: {differ}"
