@@ -109,6 +109,9 @@ class RawRecording:
         check_channel_names("recording", self.channels, self.data.shape[0])
         n = self.data.shape[1]
         for i, t in enumerate(self.trials):
+            if (t.baseline_start is None) != (t.baseline_end is None):
+                raise DataError(f"trial {i}: a baseline needs both "
+                                f"baseline_start and baseline_end")
             spans = [("trial", t.start, t.end)]
             if t.has_baseline:
                 spans.append(("baseline", t.baseline_start, t.baseline_end))

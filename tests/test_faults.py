@@ -181,6 +181,26 @@ def test_bad_recording_field_names_the_file_and_exits_2(fault, tmp_path,
     assert capsys.readouterr().err.startswith(f"data error: {path}")
 
 
+@pytest.mark.parametrize("given", ["baseline_start", "baseline_end"])
+def test_half_given_baseline_names_the_trial_and_exits_2(given, tmp_path,
+                                                        capsys):
+    """A trial with one baseline bound but not the other is refused, not
+    read as a trial without a baseline."""
+    path = tmp_path / "x"
+    write_recording(path, _recording(baseline_seconds=1.0))
+    edit = _edit_manifest(lambda fields: [
+        trial.pop("baseline_end" if given == "baseline_start"
+                  else "baseline_start") for trial in fields["trials"]])
+    edit(tmp_path / "x.json", None, None)
+    with pytest.raises(DataError, match=f"{path}: trial 0: a baseline needs"):
+        read_recording(path)
+    capsys.readouterr()
+    assert main(["preprocess", "--recording", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"data error: {path}")
+    assert not (tmp_path / "out").exists()
+
+
 # ------------------------------------------------- writers refuse, cleanly
 
 
