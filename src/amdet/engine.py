@@ -397,10 +397,8 @@ class Tape:
                     and not np.all(np.isfinite(t.grad))), None)
         if bad is None:
             return
-        for node in self.nodes:
-            node.out.grad = None
-            for t in node.inputs:
-                t.grad = None
+        for t in leaves:            # produced tensors' gradients are freed
+            t.grad = None
         self._reverse(loss, check=True)
         # every op's gradient was finite; their sum on some leaf overflowed
         raise NumericalError(f"non-finite gradient accumulated for '{bad.name}'")
