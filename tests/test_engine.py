@@ -335,7 +335,7 @@ def test_loss_that_needs_no_gradient_runs_no_closure(rng):
 def test_backward_memory_beyond_forward_retention_at_c62():
     """One SEED-shaped training step (C=62, batch 16, MLP width 1984): what
     backward allocates beyond what the forward pass holds stays under
-    24 MB. Keeping every intermediate gradient alive took 46.7 MB here;
+    24 MB. Keeping every intermediate gradient alive took 46.7 MB;
     freeing each once its node has used it takes 16.1 MB."""
     from amdet.model import forward, wrap_params
 
