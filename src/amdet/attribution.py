@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import read_bytes
+from .data import csv_text, read_bytes, replace_files
 from .engine import Tape, Tensor
 from .errors import DataError, NumericalError
 from .model import INFERENCE_BATCH, ModelConfig, forward, wrap_params
@@ -109,19 +109,19 @@ def write_channel_report(out_dir: str | Path, report: ChannelReport,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rank_of = {ch: pos for pos, ch in enumerate(report.ranking)}
-    with open(out / "channel_scores.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["channel_name", "score", "rank"])
-        for ch, name in enumerate(channel_names):
-            writer.writerow([name, f"{report.scores[ch]:.10g}", rank_of[ch]])
+    scores = csv_text([["channel_name", "score", "rank"]] + [
+        [name, f"{report.scores[ch]:.10g}", rank_of[ch]]
+        for ch, name in enumerate(channel_names)])
+    top = []
     for k in top_ks:
         picked = report.top_k(k)
-        (out / f"topk_{k}.json").write_text(json.dumps({
+        top.append((out / f"topk_{k}.json", json.dumps({
             "k": k,
             "indices": picked,
             "channels": [channel_names[i] for i in picked],
             "provenance": report.provenance,
-        }, indent=1))
+        }, indent=1)))
+    replace_files((out / "channel_scores.csv", scores), *top)
 
 
 def read_ranking_csv(path: str | Path) -> list[int]:

@@ -5,12 +5,16 @@ f32le payload `name.f32`, and a path to `name`, `name.json` or `name.f32`
 names the pair. `_write_pair` is the one writer and `_read_pair` the one
 reader; the reader checks the manifest's version and field types, that the
 payload exists and holds whole, finite f32 values, before any data is used.
-Each writer refuses what its reader refuses before writing anything, and a
-pair is replaced file by file through a temporary name, never overwritten
-in place. Recordings ("EEGR v1", channel-major) and feature files ("FEAT
-v1", sample-major) are defined here, checkpoints in `checkpoint.py`. Every
-input file is read by `read_bytes`, which makes any OSError a DataError, and
-`read_json_object` parses every JSON object: manifests and config files.
+Each writer refuses what its reader refuses before writing anything. Every
+output file, pairs and text artifacts alike, is written by `replace_files`
+through a temporary name and renamed over the old one, never overwritten in
+place. Recordings ("EEGR v1", channel-major) and feature files ("FEAT v1",
+sample-major) are defined here, checkpoints in `checkpoint.py`. A recording
+is float32 in memory as on disk, so neither its writer nor its reader copies
+the samples: `read_recording` returns a read-only view of the bytes read.
+Every input file is read by `read_bytes`, which makes any OSError a
+DataError, and `read_json_object` parses every JSON object: manifests and
+config files.
 
 The generator plants class-conditional sinusoids on chosen channels inside
 chosen frequency bands, on top of pink-noise background. The amplitude rides
@@ -20,6 +24,8 @@ trial carries signal somewhere while many individual frames stay silent.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import numbers
@@ -31,7 +37,7 @@ import numpy as np
 
 from .errors import DataError, check_numbers
 from .features import (BandSpec, RawRecording, SampleTensor, Trial,
-                       check_channel_names)
+                       all_finite, check_channel_names)
 
 
 # ------------------------------------------------------------- synthesis
@@ -172,13 +178,16 @@ def _envelope(rng: np.random.Generator, n: int, fs: float) -> np.ndarray:
 
 
 def synth_generate(spec: SynthSpec) -> RawRecording:
-    """Deterministic synthetic recording; one PRNG stream per trial."""
+    """Deterministic synthetic recording; one PRNG stream per trial. Each
+    trial is drawn in float64 and rounded once into the float32 recording,
+    so a value beyond the float32 range becomes inf and RawRecording refuses
+    it."""
     fs = spec.sample_rate_hz
     trial_len = int(round(spec.trial_seconds * fs))
     base_len = int(round(spec.baseline_seconds * fs))
     n_trials = spec.n_classes * spec.trials_per_class
     total = n_trials * (base_len + trial_len)
-    data = np.empty((spec.channels, total))
+    data = np.empty((spec.channels, total), np.float32)
     trials: list[Trial] = []
     cursor = 0
     for ti in range(n_trials):
@@ -199,7 +208,8 @@ def synth_generate(spec: SynthSpec) -> RawRecording:
             wave = sig.amplitude * env * np.sin(2.0 * np.pi * freq * t + phase)
             for ch in sig.channels:
                 block[ch, base_len:] += wave
-        data[:, cursor:cursor + span] = block
+        with np.errstate(over="ignore"):
+            data[:, cursor:cursor + span] = block
         if base_len > 0:
             trials.append(Trial(start=cursor + base_len, end=cursor + span,
                                 label=label, baseline_start=cursor,
@@ -248,15 +258,40 @@ def _pair_paths(path: str | Path) -> tuple[Path, Path]:
 
 
 def _check_payload(path: Path, values: np.ndarray) -> None:
-    if not np.all(np.isfinite(values)):
+    if not all_finite(values):
         raise DataError(f"{path}: payload contains non-finite values")
+
+
+def replace_files(*files: tuple[Path, str | bytes | memoryview]) -> None:
+    """Write each (path, content) to a temporary name beside its path, then
+    rename the temporaries over their paths in the order given, so no file
+    is ever half written; a str is written as UTF-8. If any write or rename
+    fails, the files not yet renamed keep their old contents and no
+    temporary is left."""
+    temps = [path.with_name(path.name + ".tmp") for path, _ in files]
+    try:
+        for temp, (_, content) in zip(temps, files):
+            temp.write_bytes(content.encode() if isinstance(content, str)
+                             else content)
+        for temp, (path, _) in zip(temps, files):
+            os.replace(temp, path)
+    finally:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+
+
+def csv_text(rows) -> str:
+    """Rows as CSV text, with the csv module's default CRLF line ends."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows(rows)
+    return buffer.getvalue()
 
 
 def _write_pair(path: str | Path, manifest: dict, payload: np.ndarray) -> None:
     """Write the pair only if `_read_pair` would accept it: the manifest must
-    encode as JSON and the payload, cast to f32, must be finite. Each file
-    goes to a temporary name beside it and is renamed over the old one,
-    payload first and manifest last, so neither is ever half written."""
+    encode as JSON and the payload, cast to f32, must be finite. A float32
+    payload is written from its own buffer, uncopied. The payload is renamed
+    into place first and the manifest last."""
     manifest_path, payload_path = _pair_paths(path)
     try:
         text = json.dumps({"version": 1, **manifest}, indent=1)
@@ -266,23 +301,14 @@ def _write_pair(path: str | Path, manifest: dict, payload: np.ndarray) -> None:
         values = np.ascontiguousarray(payload, "<f4")
     _check_payload(payload_path, values)
     manifest_path.parent.mkdir(parents=True, exist_ok=True)
-    files = [(payload_path, values.tobytes()), (manifest_path, text.encode())]
-    temps = [target.with_name(target.name + ".tmp") for target, _ in files]
-    try:
-        for temp, (_, content) in zip(temps, files):
-            temp.write_bytes(content)
-        for temp, (target, _) in zip(temps, files):
-            os.replace(temp, target)
-    finally:
-        for temp in temps:
-            temp.unlink(missing_ok=True)
+    replace_files((payload_path, values.data), (manifest_path, text))
 
 
 def _read_pair(path: str | Path, what: str,
                **field_types: type) -> tuple[dict, np.ndarray]:
     """(manifest, flat payload): a JSON object at version 1 whose named fields
-    have the named types, and whole, finite f32le values returned as a view
-    of the bytes read, so the caller's one cast is the only copy."""
+    have the named types, and whole, finite f32le values returned as a
+    read-only view of the bytes read, uncopied."""
     manifest_path, payload_path = _pair_paths(path)
     manifest = read_json_object(manifest_path, f"{what} manifest")
     version = manifest.get("version")
@@ -321,6 +347,8 @@ def write_recording(path: str | Path, rec: RawRecording) -> None:
 
 
 def read_recording(path: str | Path) -> RawRecording:
+    """The EEGR pair at path; its data is a read-only float32 view of the
+    payload bytes read."""
     manifest, payload = _read_pair(path, "recording", dtype=str,
                                    channels=list, trials=list)
     if manifest["dtype"] != "f32le":
@@ -334,7 +362,7 @@ def read_recording(path: str | Path) -> RawRecording:
                         baseline_start=t.get("baseline_start"),
                         baseline_end=t.get("baseline_end"))
                   for t in manifest["trials"]]
-        data = payload.reshape(len(channels), -1).astype(np.float64)
+        data = payload.reshape(len(channels), -1)
         return RawRecording(manifest["sample_rate_hz"], channels, data, trials)
     except (KeyError, TypeError, ValueError) as e:
         raise DataError(f"{path}: malformed manifest: {e!r}") from e

@@ -11,13 +11,15 @@ the flattened rows, forward and for both gradients, rather than one GEMM per
 leading index. A sample's float32 result may then differ in the last bits
 with its row position in the batch; a given batch still computes bitwise the
 same on every run, at any BLAS thread count: the weight gradient's GEMM
-sums over the rows padded with zeros to a multiple of ``ROW_BLOCK``.
+sums over the rows padded with zeros to a multiple of ``ROW_BLOCK``, and
+every sum of a gradient over its rows into one vector (a one-column weight,
+a bias, a broadcast position table) is an ``einsum``, not a BLAS GEMV.
 
 Reductions over short rows are single-pass contractions, because numpy's
 ``ufunc.reduce`` pays a fixed cost per row: softmax and layer norm take their
 row sums and row dots with ``einsum`` and the softmax shift with an exact
 pairwise ``np.maximum``, and the leading axes of a broadcast gradient are
-summed by one GEMV. Their float32 summation order is not numpy's pairwise
+summed by one ``einsum`` too. Their float32 summation order is not numpy's pairwise
 one, so float32 loss curves differ in the last bits from those of the
 per-row reductions.
 
@@ -126,8 +128,7 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     lead = grad.ndim - len(shape)
     if lead:
         rows, tail = math.prod(grad.shape[:lead]), grad.shape[lead:]
-        grad = (np.ones(rows, grad.dtype)
-                @ grad.reshape(rows, math.prod(tail))).reshape(tail)
+        grad = np.einsum("ri->i", grad.reshape(rows, -1)).reshape(tail)
     axes = tuple(ax for ax, n in enumerate(shape)
                  if n == 1 and grad.shape[ax] != 1)
     return grad.sum(axis=axes, keepdims=True) if axes else grad
@@ -140,12 +141,14 @@ def _sum_over_rows(a: Array, b: Array) -> Array:
     OpenBLAS splits a GEMM's summed dimension between threads, at points
     that move with the thread count unless the rows are a multiple of
     ``ROW_BLOCK``, so the rows are padded with zeros to one; zero rows add
-    nothing to the sum. With one column numpy runs a GEMV instead, which is
-    left alone: padding changes its bits at every thread count, and on the
-    model's GEMVs (the temporal score, at most 96 rows at batch 16) one and
-    two threads agreed unpadded."""
+    nothing to the sum. With one column numpy would run a GEMV, whose bits
+    move with the thread count at any padding once the rows pass about a
+    thousand (the temporal score at batch 167 and up), so that product is an
+    ``einsum``, which runs on no BLAS thread."""
+    if b.shape[1] == 1:
+        return np.einsum("ri,r->i", a, b[:, 0])[:, None]
     extra = -a.shape[0] % ROW_BLOCK
-    if extra and b.shape[1] > 1:
+    if extra:
         a, b = (np.pad(x, ((0, extra), (0, 0))) for x in (a, b))
     return a.T @ b
 

@@ -1,9 +1,11 @@
 """Raw EEG to normalized temporal-spectral-spatial feature tensors.
 
-The pipeline works on one (samples, F, C, L) array per trial: cut the trial
-into fixed-length samples made of short frames, take one rfft per frame, and
-read every band's mean power (PSD) and differential entropy (DE) off it by
-Parseval, as if each frame had been band-limited by an ideal FFT filter.
+A recording holds float32 samples, in memory as on disk; features are
+computed from them in float64. The pipeline works on one (samples, F, C, L)
+array per trial: cut the trial into fixed-length samples made of short
+frames, take one rfft per frame, and read every band's mean power (PSD) and
+differential entropy (DE) off it by Parseval, as if each frame had been
+band-limited by an ideal FFT filter.
 A trial that carries a baseline range then has its per-band baseline DE
 (computed once per trial) subtracted from its DE rows, and every sample is
 z-scored over all of its elements. band_component is that ideal filter
@@ -52,6 +54,13 @@ DEAP_BANDS = (
 SEED_BANDS = DEAP_BANDS + (BandSpec("gamma2", 50.0, 75.0),)
 
 
+def all_finite(values: np.ndarray) -> bool:
+    """True if no value is NaN or infinite, read off the min and max (NaN
+    propagates through both) without a bool array the size of values."""
+    return values.size == 0 or bool(
+        np.isfinite([values.min(), values.max()]).all())
+
+
 def check_channel_names(owner: str, channels, n: int) -> None:
     """Raise DataError unless channels is a list of n unique strings."""
     if not (isinstance(channels, list) and len(channels) == n
@@ -89,7 +98,10 @@ class Trial:
 class RawRecording:
     """Multichannel time series plus trial markers.
 
-    data is channels x samples; trial indices are sample offsets into it.
+    data is channels x samples of float32, as EEGR files store it: other
+    input is cast once (no copy when it is float32 already), and a value
+    that is NaN or beyond the float32 range is a DataError. Trial indices
+    are sample offsets into data.
     """
 
     sample_rate_hz: float
@@ -98,7 +110,8 @@ class RawRecording:
     trials: list[Trial]
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
+        with np.errstate(over="ignore"):    # overflow is inf, refused below
+            self.data = np.asarray(self.data, dtype=np.float32)
         check_numbers("recording", numbers.Real,
                       sample_rate_hz=self.sample_rate_hz)
         if not 0 < self.sample_rate_hz < math.inf:
@@ -106,6 +119,9 @@ class RawRecording:
         if self.data.ndim != 2 or not self.data.shape[0]:
             raise DataError(f"data must be 2-D with at least one channel row, "
                             f"got shape {self.data.shape}")
+        if not all_finite(self.data):
+            raise DataError("recording: data holds non-finite values (NaN, "
+                            "or beyond the float32 range)")
         check_channel_names("recording", self.channels, self.data.shape[0])
         n = self.data.shape[1]
         for i, t in enumerate(self.trials):

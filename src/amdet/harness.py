@@ -7,7 +7,6 @@ config reproduces the report numbers exactly.
 
 from __future__ import annotations
 
-import csv
 import json
 import numbers
 import time
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import save_checkpoint
-from .data import FeatureSet
+from .data import FeatureSet, csv_text, replace_files
 from .engine import AdamW, OptimizerConfig, Tape
 from .errors import DataError, NumericalError, check_numbers
 from .model import (ModelConfig, forward, forward_flops, init_params,
@@ -275,13 +274,12 @@ def train(config: ExperimentConfig, features: FeatureSet) -> RunReport:
 def write_report(out_dir: str | Path, report: RunReport) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(json.dumps(report.to_dict(), indent=1))
-    with open(out / "loss.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fold", "epoch", "loss"])
-        for fold, curve in enumerate(report.loss_curves):
-            for epoch, loss in enumerate(curve):
-                writer.writerow([fold, epoch, f"{loss:.10g}"])
+    losses = [[fold, epoch, f"{loss:.10g}"]
+              for fold, curve in enumerate(report.loss_curves)
+              for epoch, loss in enumerate(curve)]
+    replace_files(
+        (out / "report.json", json.dumps(report.to_dict(), indent=1)),
+        (out / "loss.csv", csv_text([["fold", "epoch", "loss"], *losses])))
 
 
 def count_params_flops(model_cfg: ModelConfig) -> tuple[int, int]:
@@ -324,10 +322,8 @@ def reduce_channels_sweep(config: ExperimentConfig, features: FeatureSet,
                      "std": report.std_accuracy})
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "sweep.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "mean", "std"])
-            for row in rows:
-                writer.writerow([row["k"], f"{row['mean']:.10g}",
-                                 f"{row['std']:.10g}"])
+        replace_files((out_dir / "sweep.csv", csv_text(
+            [["k", "mean", "std"]]
+            + [[row["k"], f"{row['mean']:.10g}", f"{row['std']:.10g}"]
+               for row in rows])))
     return rows

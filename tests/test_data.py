@@ -1,6 +1,7 @@
 """Synthetic generation determinism/planting, and EEGR/FEAT round-trips."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from amdet.data import (FeatureSet, PlantedSignal, SynthSpec,
                         default_synth_spec, read_features, read_recording,
                         synth_generate, write_features, write_recording)
 from amdet.errors import DataError
-from amdet.features import (BandSpec, SampleTensor, band_component, de,
+from amdet.features import (DEAP_BANDS, BandSpec, RawRecording,
+                            SampleTensor, band_component, de,
                             extract_features, segment)
 
 
@@ -146,9 +148,8 @@ def test_recording_round_trip(tmp_path):
     base = tmp_path / "rec"
     write_recording(base, rec)
     back = read_recording(base)
-    # payload is f32; the round trip is exact at f32 precision
-    np.testing.assert_array_equal(back.data,
-                                  rec.data.astype("<f4").astype(np.float64))
+    # float32 in memory as in the payload: the round trip is exact
+    np.testing.assert_array_equal(back.data, rec.data, strict=True)
     assert back.channels == rec.channels
     assert back.sample_rate_hz == rec.sample_rate_hz
     assert [t.label for t in back.trials] == [t.label for t in rec.trials]
@@ -196,6 +197,52 @@ def test_recording_nan_payload_rejected(tmp_path):
         np.array([np.nan], "<f4").tobytes() + good[4:])
     with pytest.raises(DataError, match="non-finite"):   # so does the reader
         read_recording(tmp_path / "rec")
+
+
+def test_in_memory_features_equal_the_eegr_round_trip_bitwise(tmp_path):
+    # the recording is float32 in memory as in the file, so writing and
+    # reading it back changes no feature bit, baselines included
+    rec = synth_generate(small_spec(baseline_seconds=1.0))
+    write_recording(tmp_path / "rec", rec)
+    back = read_recording(tmp_path / "rec")
+    np.testing.assert_array_equal(
+        *(np.stack([s.values for s in extract_features(r, DEAP_BANDS)])
+          for r in (rec, back)))
+    assert back.data.dtype == rec.data.dtype == np.float32
+    assert not back.data.flags.writeable      # a view of the bytes read
+
+
+def test_recording_with_no_samples_round_trips(tmp_path):
+    # the finiteness check reads a min and a max, which an empty payload
+    # does not have
+    write_recording(tmp_path / "rec",
+                    RawRecording(128.0, ["a", "b"], np.zeros((2, 0)), []))
+    assert read_recording(tmp_path / "rec").data.shape == (2, 0)
+
+
+def _traced_peak(fn, *args):
+    """(fn's result, the peak bytes traced while it ran)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_recording_io_and_synthesis_allocation_peaks(tmp_path):
+    """Peaks as multiples of the float32 payload's bytes, on the default
+    spec (90 trials). Reading holds the bytes read and nothing more,
+    writing copies nothing, and synthesis holds the recording plus one
+    trial's float64 working arrays (about 0.26 of it here); a float64 copy
+    of the recording anywhere would add 2.0."""
+    rec, synth_peak = _traced_peak(synth_generate, default_synth_spec())
+    payload = rec.data.size * 4
+    _, write_peak = _traced_peak(write_recording, tmp_path / "rec", rec)
+    _, read_peak = _traced_peak(read_recording, tmp_path / "rec")
+    assert read_peak <= 1.1 * payload
+    assert write_peak <= 0.3 * payload
+    assert synth_peak <= 1.6 * payload
 
 
 def test_recording_bad_trial_bounds_rejected(tmp_path):

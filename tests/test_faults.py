@@ -1,21 +1,25 @@
 """Fault injection: every corruption of an EEGR, FEAT or checkpoint pair is a
 DataError from its reader and exit code 2 from the command that reads it;
 every writer refuses what its reader would refuse, leaving no file, and an
-interrupted write leaves the previous pair as it was."""
+interrupted write leaves the previous pair, or text artifact, as it was."""
 
 import json
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from amdet.attribution import ChannelReport, write_channel_report
 from amdet.checkpoint import load_checkpoint, save_checkpoint
 from amdet.cli import main
-from amdet.data import (default_synth_spec, read_features, read_recording,
-                        synth_generate, write_features, write_recording)
+from amdet.data import (FeatureSet, default_synth_spec, read_features,
+                        read_recording, synth_generate, write_features,
+                        write_recording)
 from amdet.errors import DataError
 from amdet.features import DEAP_BANDS, SampleTensor
+from amdet.harness import ExperimentConfig, reduce_channels_sweep, train
 from amdet.model import ModelConfig, init_params
 
 CFG = ModelConfig(channels=4, bands=2, frames=6, classes=2, seed=3)
@@ -281,3 +285,56 @@ def test_interrupted_replace_keeps_the_previous_files(fmt, failing_call,
     write(tmp_path / "x", seed=5)             # uninterrupted, both change
     assert all((tmp_path / name).read_bytes() != before[name]
                for name in before)
+
+
+def _features(seed):
+    samples = _samples(seed)
+    return FeatureSet(np.stack([s.values for s in samples]),
+                      np.array([s.label for s in samples]),
+                      [s.meta for s in samples], list(DEAP_BANDS[:CFG.bands]))
+
+
+def _config(out, seed):
+    return ExperimentConfig(out_dir=str(out), seed=seed, folds=2, epochs=1)
+
+
+def _channel_report(out, seed):
+    scores = np.random.default_rng(seed).random(CFG.channels)
+    ranking = [int(ch) for ch in np.argsort(-scores)]
+    write_channel_report(out, ChannelReport(scores, ranking, {"seed": seed}),
+                         [f"ch{i}" for i in range(CFG.channels)], [2])
+
+
+# text artifact -> a call that writes it into a directory, differently for
+# each seed
+TEXT_ARTIFACTS = {
+    "report.json": lambda out, seed: train(_config(out, seed), _features(seed)),
+    "loss.csv": lambda out, seed: train(_config(out, seed), _features(seed)),
+    "sweep.csv": lambda out, seed: reduce_channels_sweep(
+        _config(out, seed), _features(seed), list(range(CFG.channels)),
+        [2 + seed % 2]),
+    "channel_scores.csv": _channel_report,
+    "topk_2.json": _channel_report,
+}
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_ARTIFACTS))
+def test_interrupted_text_artifact_keeps_the_previous_file(name, tmp_path,
+                                                           monkeypatch):
+    write = TEXT_ARTIFACTS[name]
+    write(tmp_path, 0)
+    before = (tmp_path / name).read_bytes()
+
+    def replace_or_fail(src, dst):
+        if Path(dst).name == name:
+            raise OSError("interrupted")
+        real_replace(src, dst)
+    real_replace = os.replace
+    monkeypatch.setattr("amdet.data.os.replace", replace_or_fail)
+    with pytest.raises(OSError, match="interrupted"):
+        write(tmp_path, 5)
+    assert (tmp_path / name).read_bytes() == before
+    assert not list(tmp_path.rglob("*.tmp"))
+    monkeypatch.undo()
+    write(tmp_path, 5)                        # uninterrupted, it changes
+    assert (tmp_path / name).read_bytes() != before

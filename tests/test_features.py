@@ -62,7 +62,7 @@ def test_segment_preserves_sample_values():
 
 def test_segment_one_array_per_trial():
     rng = np.random.default_rng(1)
-    data = rng.normal(size=(2, 2000))
+    data = rng.normal(size=(2, 2000)).astype(np.float32)
     rec = RawRecording(FS, ["a", "b"], data,
                        [Trial(0, 700, 0), Trial(700, 2000, 1)])
     first, second = segment(rec, 1.0, 0.5)

@@ -155,36 +155,49 @@ def test_training_is_bitwise_deterministic():
         np.testing.assert_array_equal(a[name], b[name])
 
 
-# a C=62 fit of 25 samples at batch 16: the second batch holds 9 samples, so
-# the shared-weight products sum over 9*6*62 = 3348 or 9*6*10 = 540 rows,
-# neither a multiple of 32; prints each parameter's bytes as hex
+# a C=62 fit, printing each parameter's bytes as hex. At batch 16, 25
+# samples make a second batch of 9, so the shared-weight products sum over
+# 9*6*62 = 3348 or 9*6*10 = 540 rows, neither a multiple of 32. At batch 200
+# the temporal score (620 columns) sums over 1,200 rows and the bias and
+# position gradients over up to 74,400, sizes at which a one-column BLAS
+# GEMV splits its sum between threads; two epochs let the first step's
+# differences reach every parameter, and MLP ratio 4 keeps the process
+# under 0.5 GB
 FIT_C62 = """
-import json
+import json, sys
 import numpy as np
 from amdet.engine import OptimizerConfig
 from amdet.harness import fit
 from amdet.model import ModelConfig
+n, batch, mlp_ratio, epochs = map(int, sys.argv[1:])
 rng = np.random.default_rng(0)
-x = rng.normal(size=(25, 6, 10, 62))
-params, _ = fit(x, np.arange(25) % 3, ModelConfig(62, 5, 6, 3, seed=0),
-                OptimizerConfig(), epochs=1, shuffle_seed=0)
+x = rng.normal(size=(n, 6, 10, 62))
+params, _ = fit(x, np.arange(n) % 3,
+                ModelConfig(62, 5, 6, 3, seed=0, mlp_ratio=mlp_ratio),
+                OptimizerConfig(batch_size=batch), epochs=epochs,
+                shuffle_seed=0)
 print(json.dumps({k: v.tobytes().hex() for k, v in params.items()}))
 """
 
 
 def test_training_is_bitwise_identical_at_one_and_two_blas_threads():
     """Every weight and bias, partial batch included, has the same bytes
-    whether the BLAS runs one thread or two."""
+    whether the BLAS runs one thread or two, at batch 16 and at batch 200."""
     import amdet
 
     src = str(Path(amdet.__file__).resolve().parents[1])
-    weights = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
-               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
-        run = subprocess.run([sys.executable, "-c", FIT_C62], env=env,
-                             capture_output=True, text=True, timeout=300)
-        assert run.returncode == 0, run.stderr
-        weights.append(json.loads(run.stdout))
-    differ = [k for k in weights[0] if weights[0][k] != weights[1][k]]
-    assert not differ, f"differ between 1 and 2 BLAS threads: {differ}"
+    # (samples, batch, MLP ratio, epochs)
+    for case in ((25, 16, 32, 1), (200, 200, 4, 2)):
+        weights = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src,
+                   "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+            run = subprocess.run([sys.executable, "-c", FIT_C62,
+                                  *map(str, case)], env=env,
+                                 capture_output=True, text=True, timeout=300)
+            assert run.returncode == 0, run.stderr
+            weights.append(json.loads(run.stdout))
+        differ = [k for k in weights[0] if weights[0][k] != weights[1][k]]
+        assert not differ, \
+            f"{case}: differ between 1 and 2 BLAS threads: {differ}"
