@@ -1,10 +1,11 @@
 """Command-line entry point.
 
-Subcommands: synth, preprocess, train, eval, ablate, attribute,
-reduce-channels, count. Each accepts --config <json file> plus repeated
+Subcommands: synth, preprocess, train, eval, attribute, reduce-channels,
+count. All but eval and attribute accept --config <json file> plus repeated
 --set key=value overrides (dotted keys reach into nested fields; values are
-parsed as JSON when possible, else kept as strings). eval and attribute take
-everything from the checkpoint and reject any config key.
+parsed as JSON when possible, else kept as strings); an ablation is a train
+run with --set 'model.ablate="<block>"'. eval and attribute take everything
+from the checkpoint, so they have no config options.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 """
@@ -12,15 +13,13 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import numbers
 import sys
 
 from . import attribution, data, features as feat, harness
 from .checkpoint import load_checkpoint
-from .errors import DataError, NumericalError, UsageError
-from .model import ABLATABLE_BLOCKS
+from .errors import DataError, NumericalError, UsageError, build
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,8 +39,8 @@ def _set_by_path(config: dict, dotted: str, value) -> None:
 
 def _load_config(args) -> dict:
     config = (data.read_json_object(args.config, "config file")
-              if getattr(args, "config", None) else {})
-    for item in getattr(args, "set", None) or []:
+              if args.config else {})
+    for item in args.set or []:
         if "=" not in item:
             raise UsageError(f"--set expects key=value, got {item!r}")
         key, _, raw = item.partition("=")
@@ -59,11 +58,7 @@ def _band_set(name_or_list) -> list[feat.BandSpec]:
     if name_or_list == "deap":
         return list(feat.DEAP_BANDS)
     if isinstance(name_or_list, list):
-        try:
-            return [feat.BandSpec(**b) for b in name_or_list]
-        except TypeError as e:      # not a mapping, unknown or missing keys
-            raise DataError(f"bands: each entry needs name, lo_hz and "
-                            f"hi_hz: {e}") from e
+        return [build("bands", feat.BandSpec, b) for b in name_or_list]
     raise DataError(f"bands: unknown band set {name_or_list!r}")
 
 
@@ -107,19 +102,15 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output base path (FEAT v1)")
     _add_common(p, cmd_preprocess)
 
-    for name, help_text in (("train", "five-fold cross-validated training"),
-                            ("ablate", "train with one block removed")):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--features", required=True)
-        p.add_argument("--out", required=True)
-        if name == "ablate":
-            p.add_argument("--remove", required=True, choices=ABLATABLE_BLOCKS)
-        _add_common(p, cmd_train)
+    p = sub.add_parser("train", help="five-fold cross-validated training")
+    p.add_argument("--features", required=True)
+    p.add_argument("--out", required=True)
+    _add_common(p, cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a feature file")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--features", required=True)
-    _add_common(p, cmd_eval)
+    p.set_defaults(run=cmd_eval)
 
     p = sub.add_parser("attribute", help="channel importance scores")
     p.add_argument("--checkpoint", required=True)
@@ -128,7 +119,7 @@ def build_parser() -> _Parser:
     p.add_argument("--topk", type=_positive_ints,
                    help="comma-separated k values for topk_<k>.json "
                         "(default: min(8, channels))")
-    _add_common(p, cmd_attribute)
+    p.set_defaults(run=cmd_attribute)
 
     p = sub.add_parser("reduce-channels",
                        help="retrain on top-k channel subsets")
@@ -148,17 +139,8 @@ def build_parser() -> _Parser:
 
 
 def _experiment_config(args) -> harness.ExperimentConfig:
-    config = dict(_load_config(args), out_dir=args.out)
-    if getattr(args, "remove", None):
-        _set_by_path(config, "model.ablate", args.remove)
-    return harness.ExperimentConfig.from_dict(config)
-
-
-def _reject_config(args) -> None:
-    config = _load_config(args)
-    if config:
-        raise DataError(f"{args.command} takes no config keys, got "
-                        f"{sorted(config)}")
+    return harness.ExperimentConfig.from_dict(
+        dict(_load_config(args), out_dir=args.out))
 
 
 def _print_report(report) -> None:
@@ -185,10 +167,6 @@ def cmd_preprocess(args) -> int:
     config = _load_config(args)
     bands = _band_set(config.pop("bands", None))
     threshold = config.pop("binarize_threshold", None)
-    try:        # every other key is an extract_features option
-        inspect.signature(feat.extract_features).bind(None, bands, **config)
-    except TypeError as e:
-        raise DataError(f"preprocess config: {e}") from e
     rec = data.read_recording(args.recording)
     ratings = [t.label for t in rec.trials
                if not isinstance(t.label, numbers.Integral)]
@@ -198,7 +176,9 @@ def cmd_preprocess(args) -> int:
         raise DataError(f"{args.recording}: trial label {ratings[0]!r} is not "
                         "a class index; set binarize_threshold to map "
                         "ratings onto two classes")
-    samples = feat.extract_features(rec, bands, **config)
+    # every other key is an extract_features option
+    samples = build("preprocess config", feat.extract_features, config, rec,
+                    bands)
     data.write_features(args.out, samples, bands, channels=rec.channels)
     shape = samples[0].values.shape
     print(f"wrote {args.out}.json/.f32: {len(samples)} samples of shape "
@@ -215,7 +195,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _reject_config(args)
     params, model_cfg, _ = load_checkpoint(args.checkpoint)
     fs = data.read_features(args.features)
     acc, confusion = harness.evaluate(params, model_cfg, fs.values, fs.labels)
@@ -225,7 +204,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_attribute(args) -> int:
-    _reject_config(args)
     params, model_cfg, _ = load_checkpoint(args.checkpoint)
     if model_cfg.ablate is not None:
         raise DataError(f"attribution requires a full model, this one has "

@@ -11,10 +11,11 @@ through a temporary name and renamed over the old one, never overwritten in
 place. Recordings ("EEGR v1", channel-major) and feature files ("FEAT v1",
 sample-major) are defined here, checkpoints in `checkpoint.py`. A recording
 is float32 in memory as on disk, so neither its writer nor its reader copies
-the samples: `read_recording` returns a read-only view of the bytes read.
-Every input file is read by `read_bytes`, which makes any OSError a
-DataError, and `read_json_object` parses every JSON object: manifests and
-config files.
+the samples; `write_features` stacks its samples once, straight into
+float32. `read_recording` and `read_features` return read-only views of the
+bytes read. Every input file is read by `read_bytes`, which makes any
+OSError a DataError, and `read_json_object` parses every JSON object:
+manifests and config files.
 
 The generator plants class-conditional sinusoids on chosen channels inside
 chosen frequency bands, on top of pink-noise background. The amplitude rides
@@ -35,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, check_numbers
+from .errors import DataError, build, check_numbers
 from .features import (BandSpec, RawRecording, SampleTensor, Trial,
                        all_finite, check_channel_names)
 
@@ -54,9 +55,10 @@ class PlantedSignal:
     amplitude: float
 
     def __post_init__(self):
+        if not isinstance(self.channels, (list, tuple)) or not self.channels:
+            raise DataError(f"planted: channels must be a non-empty list, got "
+                            f"{self.channels!r}")
         object.__setattr__(self, "channels", tuple(self.channels))
-        if not self.channels:
-            raise DataError("planted signal needs at least one channel")
         check_numbers("planted", numbers.Integral, class_index=self.class_index,
                       **{f"channels[{i}]": ch
                          for i, ch in enumerate(self.channels)})
@@ -75,12 +77,18 @@ class SynthSpec:
     sample_rate_hz: float = 128.0
     trial_seconds: float = 9.0
     trials_per_class: int = 30
-    planted: tuple[PlantedSignal, ...] = ()
+    planted: tuple[PlantedSignal, ...] = ()     # or their fields as mappings
     noise_scale: float = 1.0
     baseline_seconds: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.planted, (list, tuple)):
+            raise DataError(f"synth: planted must be a list, got "
+                            f"{self.planted!r}")
+        object.__setattr__(self, "planted", tuple(
+            sig if isinstance(sig, PlantedSignal)
+            else build("planted", PlantedSignal, sig) for sig in self.planted))
         check_numbers("synth", numbers.Integral, n_classes=self.n_classes,
                       channels=self.channels,
                       trials_per_class=self.trials_per_class, seed=self.seed)
@@ -117,27 +125,18 @@ class SynthSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SynthSpec":
-        d = dict(d)
-        try:        # not a mapping, unknown or missing keys
-            planted = tuple(PlantedSignal(**s) for s in d.pop("planted", ()))
-            return cls(planted=planted, **d)
-        except TypeError as e:
-            raise DataError(f"bad synth spec: {e}") from e
+        return build("synth spec", cls, d)
 
 
 def default_synth_spec(**overrides) -> SynthSpec:
-    """Three classes told apart by which band is active on channels 0-2."""
-    base = dict(
-        n_classes=3, channels=16, sample_rate_hz=128.0, trial_seconds=9.0,
-        trials_per_class=30, noise_scale=1.0, seed=0,
-        planted=(
-            PlantedSignal(0, (0, 1, 2), 8.0, 14.0, 2.0),    # alpha
-            PlantedSignal(1, (0, 1, 2), 14.0, 31.0, 2.0),   # beta
-            PlantedSignal(2, (0, 1, 2), 4.0, 8.0, 2.0),     # theta
-        ),
+    """Three classes told apart by which band is active on channels 0-2;
+    every other field keeps its SynthSpec default."""
+    planted = (
+        PlantedSignal(0, (0, 1, 2), 8.0, 14.0, 2.0),    # alpha
+        PlantedSignal(1, (0, 1, 2), 14.0, 31.0, 2.0),   # beta
+        PlantedSignal(2, (0, 1, 2), 4.0, 8.0, 2.0),     # theta
     )
-    base.update(overrides)
-    return SynthSpec(**base)
+    return SynthSpec(**{"planted": planted, **overrides})
 
 
 def _pink_noise(rng: np.random.Generator, n_channels: int,
@@ -425,8 +424,9 @@ def write_features(path: str | Path, samples: list[SampleTensor],
         if s.values.shape != shape:
             raise DataError(f"sample {i} shape {s.values.shape} != {shape}")
         check_numbers(f"sample {i}", numbers.Integral, label=s.label)
-    fs = FeatureSet(np.stack([s.values for s in samples]),
-                    np.array([s.label for s in samples]),
+    with np.errstate(over="ignore"):     # overflow is inf; _write_pair refuses
+        values = np.stack([s.values for s in samples], dtype=np.float32)
+    fs = FeatureSet(values, np.array([s.label for s in samples]),
                     [s.meta for s in samples], list(bands), channels)
     stride = int(np.prod(shape)) * 4
     manifest = {
@@ -442,6 +442,8 @@ def write_features(path: str | Path, samples: list[SampleTensor],
 
 
 def read_features(path: str | Path) -> FeatureSet:
+    """The FEAT pair at path; its values are a read-only float32 view of the
+    payload bytes read."""
     manifest, payload = _read_pair(path, "feature", shape=list, samples=list)
     shape = manifest["shape"]
     if not (len(shape) == 3 and all(
@@ -472,5 +474,5 @@ def read_features(path: str | Path) -> FeatureSet:
                  for b in manifest.get("bands", [])]
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise DataError(f"{path}: malformed manifest: {e!r}") from e
-    values = payload.reshape((len(entries), *shape)).astype(np.float32)
-    return FeatureSet(values, labels, metas, bands, manifest.get("channels"))
+    return FeatureSet(payload.reshape((len(entries), *shape)), labels, metas,
+                      bands, manifest.get("channels"))

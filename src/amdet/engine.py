@@ -442,9 +442,13 @@ class OptimizerConfig:
     batch_size: int = 16
 
     def __post_init__(self):
-        check_numbers("optimizer", numbers.Real, lr=self.lr,
-                      weight_decay=self.weight_decay)
+        rates = {"lr": self.lr, "weight_decay": self.weight_decay}
+        check_numbers("optimizer", numbers.Real, **rates)
         check_numbers("optimizer", numbers.Integral, batch_size=self.batch_size)
+        for name, value in rates.items():
+            if not 0 <= value < math.inf:       # NaN fails too
+                raise DataError(f"optimizer: {name} must be finite and >= 0, "
+                                f"got {value}")
         if self.batch_size < 1:
             raise DataError(f"optimizer: batch_size must be >= 1, got "
                             f"{self.batch_size}")

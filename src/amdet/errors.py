@@ -2,8 +2,11 @@
 
 The CLI maps these onto exit codes: UsageError -> 1, DataError -> 2,
 NumericalError -> 3. Library code raises them directly. `check_numbers` is
-the field-type check the config classes share.
+the field-type check the config classes share, and `build` the one route
+from a JSON mapping to a config object.
 """
+
+import inspect
 
 
 class AmdetError(Exception):
@@ -29,3 +32,16 @@ def check_numbers(owner: str, kind: type, **values) -> None:
         if isinstance(value, bool) or not isinstance(value, kind):
             raise DataError(f"{owner}: {name} must be "
                             f"{kind.__name__.lower()}, got {value!r}")
+
+
+def build(owner: str, fn, mapping, *args):
+    """fn(*args, **mapping), once mapping is a dict whose keys fn's signature
+    accepts after args: a non-mapping, an unknown key or a missing key is a
+    DataError naming owner and the key."""
+    if not isinstance(mapping, dict):
+        raise DataError(f"{owner} must be a mapping, got {mapping!r}")
+    try:
+        inspect.signature(fn).bind(*args, **mapping)
+    except TypeError as e:          # unknown or missing keys
+        raise DataError(f"{owner}: {e}") from e
+    return fn(*args, **mapping)

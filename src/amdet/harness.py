@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import numbers
 import time
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, asdict
 from math import gcd, prod
 from pathlib import Path
 
@@ -19,7 +19,7 @@ import numpy as np
 from .checkpoint import save_checkpoint
 from .data import FeatureSet, csv_text, replace_files
 from .engine import AdamW, OptimizerConfig, Tape
-from .errors import DataError, NumericalError, check_numbers
+from .errors import DataError, NumericalError, build, check_numbers
 from .model import (ModelConfig, forward, forward_flops, init_params,
                     param_shapes, predict, wrap_params)
 
@@ -34,6 +34,7 @@ class ExperimentConfig:
     folds: int = 5
     split_mode: str = "segment"
     epochs: int = 100
+    # a mapping of OptimizerConfig fields is built into one
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     model: dict = field(default_factory=dict)   # ModelConfig field overrides
 
@@ -41,12 +42,14 @@ class ExperimentConfig:
         check_numbers("config", numbers.Integral, seed=self.seed,
                       folds=self.folds, epochs=self.epochs)
         if not isinstance(self.optimizer, OptimizerConfig):
-            raise DataError(f"optimizer must be a mapping, got "
-                            f"{self.optimizer!r}")
+            self.optimizer = build("optimizer", OptimizerConfig,
+                                   self.optimizer)
         if not isinstance(self.model, dict):
             raise DataError(f"model must be a mapping, got {self.model!r}")
         if "seed" in self.model:
             raise DataError("model.seed: set the top-level seed instead")
+        if self.seed < 0:
+            raise DataError("seed must be >= 0")
         if self.folds < 2:
             raise DataError("folds must be >= 2")
         if self.epochs < 1:
@@ -59,18 +62,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(d)
-        opt = d.pop("optimizer", {})
-        if isinstance(opt, dict):
-            unknown = set(opt) - {f.name for f in fields(OptimizerConfig)}
-            if unknown:
-                raise DataError(
-                    f"unknown optimizer config fields: {sorted(unknown)}")
-            opt = OptimizerConfig(**opt)
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise DataError(f"unknown config fields: {sorted(unknown)}")
-        return cls(optimizer=opt, **d)
+        return build("config", cls, d)
 
     def model_config(self, features: FeatureSet | None = None,
                      seed: int | None = None) -> ModelConfig:
@@ -85,9 +77,6 @@ class ExperimentConfig:
             resolved.setdefault("frames", frames)
             resolved.setdefault("classes", features.n_classes)
         resolved["seed"] = self.seed if seed is None else seed
-        missing = {"channels", "bands", "frames", "classes"} - resolved.keys()
-        if missing:
-            raise DataError(f"model config missing fields: {sorted(missing)}")
         return ModelConfig.from_dict(resolved)
 
 

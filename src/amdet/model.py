@@ -27,7 +27,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .engine import Tape, Tensor
-from .errors import DataError, NumericalError, check_numbers
+from .errors import DataError, NumericalError, build, check_numbers
 
 ABLATABLE_BLOCKS = ("spectral", "spatial", "temporal")
 # samples per forward when not training (predict, Grad-CAM): the default
@@ -84,10 +84,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        try:
-            return cls(**d)
-        except TypeError as e:          # not a mapping, unknown or missing keys
-            raise DataError(f"bad model config: {e}") from e
+        return build("model config", cls, d)
 
 
 def _rng_for(seed: int, name: str) -> np.random.Generator:

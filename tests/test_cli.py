@@ -258,6 +258,10 @@ def test_config_file_with_set_override(workdir, capsys):
     ("optimizer.eps=1e-8", "eps"),
     ('features="x"', "features"),
     ("model.seed=5", "model.seed"),
+    ("seed=-1", "seed"),
+    ("optimizer.lr=-1", "lr"),
+    ("optimizer.weight_decay=-5", "weight_decay"),
+    ("optimizer.lr=1e400", "lr"),           # JSON for inf
 ])
 def test_bad_config_field_exit_code_2(pipeline, override, named, capsys):
     assert main(["train", "--features", str(pipeline / "feat"),
@@ -297,16 +301,19 @@ def test_bad_preprocess_config_exit_code_2(pipeline, override, named, capsys):
 
 
 def test_eval_rejects_config_keys(pipeline, capsys):
+    # eval takes everything from the checkpoint: --set is not an option
     assert main(["eval", "--checkpoint", str(pipeline / "run" / "fold0.amdw"),
                  "--features", str(pipeline / "feat"),
-                 "--set", 'remove="spatial"']) == 2
-    assert "remove" in capsys.readouterr().err
+                 "--set", 'remove="spatial"']) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "usage error" in captured.err
+    assert "--set" in captured.err
 
 
 def test_ablated_checkpoint_evaluates_as_trained(pipeline, capsys):
     run = pipeline / "nospatial"
-    assert main(["ablate", "--features", str(pipeline / "feat"),
-                 "--out", str(run), "--remove", "spatial",
+    assert main(["train", "--features", str(pipeline / "feat"),
+                 "--out", str(run), "--set", 'model.ablate="spatial"',
                  "--set", "folds=2", "--set", "epochs=1",
                  "--set", "optimizer.batch_size=8"]) == 0
     report = json.loads((run / "report.json").read_text())
@@ -334,8 +341,9 @@ def test_attribute_rejects_config_keys(pipeline, capsys):
                  str(pipeline / "run" / "fold0.amdw"),
                  "--features", str(pipeline / "feat"),
                  "--out", str(pipeline / "attrib_cfg"),
-                 "--set", 'target_layer="spatial"']) == 2
-    assert "target_layer" in capsys.readouterr().err
+                 "--set", 'target_layer="spatial"']) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "--set" in err
     assert not (pipeline / "attrib_cfg").exists()
 
 
@@ -378,10 +386,13 @@ PLANTED = '{"class_index":0,"channels":[0],"lo_hz":8,"hi_hz":14,"amplitude":2.0'
     ("seed=-1", "seed"),
     ("baseline_seconds=-1", "baseline_seconds"),
     ("planted=[" + PLANTED.replace("[0]", "[1.5]") + "}]", "channels"),
+    ("planted=[" + PLANTED.replace("[0]", "5") + "}]", "channels"),
     ("planted=[" + PLANTED.replace(":0,", ":0.5,") + "}]", "class_index"),
     ("planted=[" + PLANTED + ',"colour":1}]', "colour"),
     ("planted=[" + PLANTED.replace(',"amplitude":2.0', "") + "}]",
      "amplitude"),
+    ("planted=5", "planted"),
+    ("planted=[1]", "planted"),
 ])
 def test_bad_synth_config_exit_code_2(tmp_path, override, named, capsys):
     assert main(["synth", "--out", str(tmp_path / "rec"),
@@ -448,6 +459,6 @@ def test_readme_walkthrough_commands_parse():
     lines = [shlex.split(line, comments=True)
              for line in block.replace("\\\n", " ").splitlines()]
     commands = [words[1:] for words in lines if words[:1] == ["amdet"]]
-    assert len(commands) == 8
+    assert len(commands) == 7
     for argv in commands:
         assert callable(build_parser().parse_args(argv).run), argv

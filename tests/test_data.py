@@ -313,6 +313,22 @@ def test_features_version_mismatch(tmp_path):
         read_features(tmp_path / "feat")
 
 
+def test_feature_io_allocation_peaks(tmp_path):
+    """Peaks as multiples of the float32 payload's bytes, on the default
+    spec at seed 3 with the DEAP bands. Writing stacks the samples once,
+    straight into float32, and reading holds the bytes read plus the parsed
+    manifest; a float64 stack would add 2.0, a float32 copy 1.0."""
+    rec = synth_generate(default_synth_spec(seed=3))
+    samples = extract_features(rec, DEAP_BANDS)
+    payload = len(samples) * samples[0].values.size * 4
+    _, write_peak = _traced_peak(write_features, tmp_path / "feat", samples,
+                                 DEAP_BANDS, rec.channels)
+    fs, read_peak = _traced_peak(read_features, tmp_path / "feat")
+    assert fs.values.dtype == np.float32 and not fs.values.flags.writeable
+    assert read_peak <= 1.3 * payload
+    assert write_peak <= 1.7 * payload
+
+
 def test_features_nan_payload_rejected(tmp_path):
     samples, bands, channels = feature_fixture()
     write_features(tmp_path / "feat", samples, bands, channels)

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from amdet.data import FeatureSet, default_synth_spec, synth_generate
+from amdet.data import (FeatureSet, SynthSpec, default_synth_spec,
+                        synth_generate)
 from amdet.engine import OptimizerConfig
 from amdet.errors import DataError, NumericalError
 from amdet import harness
@@ -323,6 +324,13 @@ def test_readme_experiment_config_example_builds():
     config = ExperimentConfig.from_dict(example)
     config.model.update(channels=4, bands=2, frames=6, classes=3)
     config.model_config()       # every model key is a ModelConfig field
+
+
+@pytest.mark.parametrize("cls", [ExperimentConfig, ModelConfig, SynthSpec])
+@pytest.mark.parametrize("given", [[1], "x", None])
+def test_config_from_a_non_mapping_is_a_data_error(cls, given):
+    with pytest.raises(DataError, match="must be a mapping"):
+        cls.from_dict(given)
 
 
 def test_experiment_config_validation():
