@@ -99,14 +99,15 @@ class SynthSpec:
                       baseline_seconds=self.baseline_seconds)
         if self.n_classes < 2 or self.channels < 1:
             raise DataError("need n_classes >= 2 and channels >= 1")
-        if self.sample_rate_hz <= 0 or self.trial_seconds <= 0:
-            raise DataError("sample rate and trial length must be positive")
+        for name in ("sample_rate_hz", "trial_seconds", "noise_scale"):
+            if not 0 < getattr(self, name) < math.inf:      # NaN fails too
+                raise DataError(f"synth: {name} must be positive and finite, "
+                                f"got {getattr(self, name)}")
         if self.trials_per_class < 1:
             raise DataError("trials_per_class must be >= 1")
-        if self.noise_scale <= 0:
-            raise DataError("noise_scale must be positive")
-        if self.baseline_seconds < 0:
-            raise DataError("baseline_seconds must be >= 0")
+        if not 0 <= self.baseline_seconds < math.inf:
+            raise DataError(f"synth: baseline_seconds must be finite and "
+                            f">= 0, got {self.baseline_seconds}")
         if self.seed < 0:
             raise DataError("seed must be >= 0")
         nyquist = self.sample_rate_hz / 2

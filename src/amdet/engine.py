@@ -42,9 +42,19 @@ made anywhere flows into some leaf's gradient. Only if that check fails is the
 reverse pass replayed with a check after every op, to name the op and input
 that produced the first non-finite gradient.
 
-Importing the engine pins glibc's malloc thresholds (see
-`_pin_malloc_thresholds`), so that the temporaries of every pass are served
-from a heap the process keeps rather than from fresh pages.
+A shared weight's gradient (the ``_sum_over_rows`` product) is computed on one
+helper thread, while the main thread goes on with the reverse pass; BLAS
+releases the interpreter lock, so the two products run on two cores. The op
+hands back a pending gradient, and the pass waits for it only where it is
+read: by the node that produced the weight, by a second contribution to the
+same tensor (added in arrival order), by the per-op check of the replay, and
+on the leaves before the finiteness check. Each product runs the same
+arithmetic as on the main thread, so every gradient has the same bits.
+
+Importing the engine pins glibc's malloc thresholds and its arena count (see
+`_pin_malloc_thresholds`), so that the temporaries of every pass, the helper
+thread's included, are served from a heap the process keeps rather than from
+fresh pages.
 """
 
 from __future__ import annotations
@@ -53,6 +63,7 @@ import ctypes
 import math
 import numbers
 import os
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -62,7 +73,8 @@ from .errors import DataError, NumericalError, check_numbers
 
 Array = np.ndarray
 
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3     # glibc mallopt parameters
+# glibc mallopt parameters
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD, M_ARENA_MAX = -1, -3, -8
 MMAP_THRESHOLD = 32 << 20       # glibc's largest on 64-bit
 TRIM_THRESHOLD = 256 << 20
 # a GEMM that sums over a multiple of this many rows gives the same bits at
@@ -71,7 +83,8 @@ ROW_BLOCK = 32
 
 
 def _pin_malloc_thresholds() -> bool:
-    """Fix glibc's mmap and trim thresholds; True if they were set.
+    """Fix glibc's mmap and trim thresholds and use one arena; True if all
+    three were set.
 
     By default glibc raises both thresholds as it frees large blocks, so
     where a process ends up depends on the order of its earlier allocations.
@@ -83,6 +96,11 @@ def _pin_malloc_thresholds() -> bool:
     but the length of the checkout's path. With both thresholds fixed,
     blocks below 32 MB come from the heap, and the heap is given back only
     when 256 MB of it lie free at its top.
+
+    glibc gives each thread that allocates its own arena, whose free blocks
+    no other thread reuses, so the helper thread's copies would hold pages
+    beside the main heap's; with one arena every thread takes from the main
+    heap.
     """
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION"):
@@ -92,10 +110,16 @@ def _pin_malloc_thresholds() -> bool:
         return False
     # setting either one turns off glibc's adjustment of both
     return bool(mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
-                and mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD))
+                and mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+                and mallopt(M_ARENA_MAX, 1))
 
 
 _pin_malloc_thresholds()
+
+# the one thread that computes shared weights' gradients; it starts with the
+# first backward that needs one
+_HELPER = ThreadPoolExecutor(max_workers=1,
+                             thread_name_prefix="amdet-weight-grad")
 
 
 class Tensor:
@@ -151,6 +175,11 @@ def _sum_over_rows(a: Array, b: Array) -> Array:
     if extra:
         a, b = (np.pad(x, ((0, extra), (0, 0))) for x in (a, b))
     return a.T @ b
+
+
+def _resolved(g: Array | Future | None) -> Array | None:
+    """``g``, or the array of a pending gradient once it is computed."""
+    return g.result() if isinstance(g, Future) else g
 
 
 def _row_sum(a: Array, b: Array | None = None) -> Array:
@@ -212,9 +241,13 @@ class Tape:
 
             def backward(g):
                 g = g.reshape(-1, n)
+                # pending: computed on the helper thread while the pass goes
+                # on; it already has b's shape
+                gb = _HELPER.submit(_sum_over_rows, rows, g) if b.needs_grad \
+                    else None
                 ga = (g @ b.data.T).reshape(a.data.shape) if a.needs_grad \
                     else None
-                return ga, _sum_over_rows(rows, g) if b.needs_grad else None
+                return ga, gb
         else:
             out = Tensor(a.data @ b.data, _name("matmul", a, b))
 
@@ -396,6 +429,8 @@ class Tape:
         leaves = {id(t): t for node in self.nodes for t in node.inputs
                   if id(t) not in produced}.values()
         self._reverse(loss, check=False)
+        for t in leaves:
+            t.grad = _resolved(t.grad)
         bad = next((t for t in leaves if t.grad is not None
                     and not np.all(np.isfinite(t.grad))), None)
         if bad is None:
@@ -410,19 +445,24 @@ class Tape:
         loss.grad = np.ones_like(loss.data) if loss.needs_grad else None
         for node in reversed(self.nodes):
             # a produced tensor's gradient is freed once its node has used it
-            g, node.out.grad = node.out.grad, None
+            g, node.out.grad = _resolved(node.out.grad), None
             if g is None:
                 continue
             for inp, gi in zip(node.inputs, node.backward(g)):
                 if gi is None:
                     continue
-                if check and not np.all(np.isfinite(gi)):
-                    raise NumericalError(
-                        f"non-finite gradient produced by op '{node.op}' "
-                        f"for input '{inp.name}'")
-                gi = gi.reshape(inp.data.shape)
-                # out of place: gi may alias another tensor's gradient
-                inp.grad = gi if inp.grad is None else inp.grad + gi
+                if check:
+                    gi = _resolved(gi)
+                    if not np.all(np.isfinite(gi)):
+                        raise NumericalError(
+                            f"non-finite gradient produced by op '{node.op}' "
+                            f"for input '{inp.name}'")
+                if not isinstance(gi, Future):  # a pending one has the shape
+                    gi = gi.reshape(inp.data.shape)
+                # out of place: gi may alias another tensor's gradient; a
+                # second contribution waits for both and adds in arrival order
+                inp.grad = gi if inp.grad is None else \
+                    _resolved(inp.grad) + _resolved(gi)
 
     def matmul_flops(self) -> int:
         """2 * multiply-adds summed over every matmul recorded so far."""

@@ -150,9 +150,9 @@ class SampleTensor:
 def _frame_counts(sample_rate_hz: float, sample_seconds: float,
                   frame_seconds: float) -> tuple[int, int]:
     """(frames per sample, points per frame); rejects non-integral splits."""
-    if min(sample_seconds, frame_seconds) <= 0:
+    if not (0 < sample_seconds < math.inf and 0 < frame_seconds < math.inf):
         raise DataError(f"sample_seconds={sample_seconds} and frame_seconds="
-                        f"{frame_seconds} must be positive")
+                        f"{frame_seconds} must be positive and finite")
     n_frames = sample_seconds / frame_seconds
     if abs(n_frames - round(n_frames)) > 1e-9:
         raise DataError(

@@ -60,6 +60,10 @@ class ModelConfig:
             raise DataError("model dimensions must be positive (classes >= 2)")
         if self.spectral_layers < 1 or self.spatial_layers < 1:
             raise DataError("encoder layer counts must be >= 1")
+        if self.spectral_heads < 1 or self.spatial_heads < 1:
+            raise DataError(f"model config: spectral_heads and spatial_heads "
+                            f"must be >= 1, got {self.spectral_heads} and "
+                            f"{self.spatial_heads}")
         if self.channels % self.spectral_heads != 0:
             raise DataError(
                 f"channels={self.channels} not divisible by "

@@ -262,6 +262,8 @@ def test_config_file_with_set_override(workdir, capsys):
     ("optimizer.lr=-1", "lr"),
     ("optimizer.weight_decay=-5", "weight_decay"),
     ("optimizer.lr=1e400", "lr"),           # JSON for inf
+    ("model.spectral_heads=0", "spectral_heads"),
+    ("model.spatial_heads=-1", "spatial_heads"),
 ])
 def test_bad_config_field_exit_code_2(pipeline, override, named, capsys):
     assert main(["train", "--features", str(pipeline / "feat"),
@@ -290,6 +292,8 @@ def test_config_file_must_be_an_object(workdir, capsys):
     ("subtract_baseline=false", "subtract_baseline"),
     ("baseline_psd=true", "baseline_psd"),
     ("bands=5", "bands"),
+    ("sample_seconds=NaN", "sample_seconds"),
+    ("frame_seconds=1e400", "frame_seconds"),
 ])
 def test_bad_preprocess_config_exit_code_2(pipeline, override, named, capsys):
     out = pipeline / "badprep"
@@ -385,6 +389,10 @@ PLANTED = '{"class_index":0,"channels":[0],"lo_hz":8,"hi_hz":14,"amplitude":2.0'
     ('seed="x"', "seed"),
     ("seed=-1", "seed"),
     ("baseline_seconds=-1", "baseline_seconds"),
+    ("sample_rate_hz=1e400", "sample_rate_hz"),
+    ("trial_seconds=NaN", "trial_seconds"),
+    ("noise_scale=NaN", "noise_scale"),
+    ("baseline_seconds=1e400", "baseline_seconds"),
     ("planted=[" + PLANTED.replace("[0]", "[1.5]") + "}]", "channels"),
     ("planted=[" + PLANTED.replace("[0]", "5") + "}]", "channels"),
     ("planted=[" + PLANTED.replace(":0,", ":0.5,") + "}]", "class_index"),

@@ -2,7 +2,11 @@
 plus cross-entropy values and AdamW behavior."""
 
 import math
+import sys
+import threading
+import time
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -386,7 +390,8 @@ def test_shared_weight_matmul_backward_matches_reference(rng, a_shape,
                                                          swapped):
     """The flattened 2-D GEMMs match the stacked products, forward and
     backward; a non-contiguous left operand (a swapaxes view, which the
-    flattening has to copy) as well."""
+    flattening has to copy) as well. The closure hands back the weight
+    gradient pending on the helper thread; the test waits for it."""
     a_data = rng.normal(size=a_shape)
     if swapped:
         a_data = np.swapaxes(np.swapaxes(a_data, -2, -3).copy(), -2, -3)
@@ -398,10 +403,159 @@ def test_shared_weight_matmul_backward_matches_reference(rng, a_shape,
     assert rel_err(out.data, np.matmul(a.data, b.data)) < 1e-12
     g = rng.normal(size=out.shape)
     ga, gb = tape.nodes[-1].backward(g)
+    assert isinstance(gb, Future)
+    gb = gb.result(timeout=10)
     ref_ga, ref_gb = matmul_backward_batched(a.data, b.data, g)
     assert ga.shape == a_shape and gb.shape == (4, 6)
     assert rel_err(ga, ref_ga) < 1e-12
     assert rel_err(gb, ref_gb) < 1e-12
+
+
+# ------------------------------------------ pending weight gradients
+
+HELPER = engine._HELPER
+
+
+class SerialHelper:
+    """Computes each weight gradient at once, on the calling thread, and
+    hands back the array itself: the reverse pass without a helper thread."""
+
+    def submit(self, fn, *args):
+        return fn(*args)
+
+
+class LateHelper:
+    """The helper thread, starting each product late, so that it is still
+    pending when the pass first reads it."""
+
+    def submit(self, fn, *args):
+        def late():
+            time.sleep(0.002)
+            return fn(*args)
+        return HELPER.submit(late)
+
+
+def leaf_grads(build, arrays, helper, monkeypatch):
+    """Leaf gradients of sum_all(build(tape, *leaves)) with helper in place
+    of the engine's helper thread."""
+    monkeypatch.setattr(engine, "_HELPER", helper)
+    leaves = [Tensor(a, name=f"in{i}") for i, a in enumerate(arrays)]
+    tape = Tape()
+    tape.backward(tape.sum_all(build(tape, *leaves)))
+    assert all(node.out.grad is None for node in tape.nodes)
+    return [t.grad for t in leaves]
+
+
+def two_products(t, x1, x2, w):
+    return t.add(t.matmul(x1, w), t.matmul(x2, w))
+
+
+def product_then_add(t, x, w):            # pending first, then a plain one
+    return t.matmul(t.add(x, w), w)
+
+
+def add_product_add(t, x, w):             # plain, pending, plain
+    return t.add(t.matmul(t.add(x, w), w), w)
+
+
+def produced_weight(t, x, w):             # the transpose's output is 2-D
+    return t.relu(t.matmul(x, t.transpose(t.scale(w, 0.5))))
+
+
+@pytest.mark.parametrize("build, shapes", [
+    (two_products, [(2, 3, 4), (1, 3, 4), (4, 4)]),
+    (product_then_add, [(2, 4, 4), (4, 4)]),
+    (add_product_add, [(2, 4, 4), (4, 4)]),
+    (produced_weight, [(2, 3, 4), (5, 4)]),
+], ids=["shared_by_two_matmuls", "pending_then_add", "add_pending_add",
+        "produced_by_an_op"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pending_weight_gradients_match_serial_bitwise(rng, monkeypatch,
+                                                       build, shapes, dtype):
+    """Leaf gradients with the helper thread, also when it lags, have the
+    bits of the serial pass: a weight shared by two matmuls, a weight that
+    also feeds an add (both orders), and a weight an op produced."""
+    arrays = [rng.normal(size=s).astype(dtype) for s in shapes]
+    serial = leaf_grads(build, arrays, SerialHelper(), monkeypatch)
+    for helper in (HELPER, LateHelper()):
+        got = leaf_grads(build, arrays, helper, monkeypatch)
+        for a, b in zip(got, serial):
+            assert type(a) is np.ndarray and a.dtype == dtype
+            np.testing.assert_array_equal(a, b)
+
+
+def test_model_step_gradients_match_serial_bitwise(monkeypatch):
+    """Every parameter gradient of a C=16 training step, float32, with the
+    interpreter switching threads as often as it can."""
+    from amdet.model import forward, wrap_params
+
+    cfg = ModelConfig(channels=16, bands=5, frames=6, classes=3, seed=2)
+    params = init_params(cfg)
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=(9, 6, 10, 16)).astype(np.float32)
+    y = rng.integers(0, 3, 9)
+
+    def grads(helper):
+        monkeypatch.setattr(engine, "_HELPER", helper)
+        p, tape = wrap_params(params), Tape()
+        tape.backward(tape.cross_entropy(forward(tape, p, cfg, x)[0], y))
+        return {k: t.grad for k, t in p.items()}
+
+    serial = grads(SerialHelper())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = [grads(HELPER) for _ in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+    for run in threaded:
+        for k in serial:
+            np.testing.assert_array_equal(run[k], serial[k], err_msg=k)
+
+
+def test_reverse_pass_leaves_a_leaf_weight_gradient_pending(rng,
+                                                            monkeypatch):
+    """The pass itself does not wait for a leaf's weight gradient; only
+    backward does, before its finiteness check."""
+    release = threading.Event()
+
+    class GatedHelper:
+        def submit(self, fn, *args):
+            def gated():
+                if not release.wait(timeout=10):
+                    raise TimeoutError("the reverse pass waited")
+                return fn(*args)
+            return HELPER.submit(gated)
+
+    x, w = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5))
+    monkeypatch.setattr(engine, "_HELPER", GatedHelper())
+    wt, tape = Tensor(w), Tape()
+    loss = tape.sum_all(tape.relu(tape.matmul(Tensor(x), wt)))
+    tape._reverse(loss, check=False)
+    pending = wt.grad
+    assert isinstance(pending, Future) and not pending.done()
+    release.set()
+    serial = leaf_grads(lambda t, x, w: t.relu(t.matmul(x, w)), [x, w],
+                        SerialHelper(), monkeypatch)[1]
+    np.testing.assert_array_equal(pending.result(timeout=10), serial)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_nonfinite_weight_product_is_named_by_the_replay(rng, monkeypatch):
+    """An inf in the weight product, computed on the helper thread, is
+    still reported as the matmul's gradient for the weight."""
+    x = rng.normal(size=(2, 3, 4))
+    x[1, 2, 3] = np.inf          # every output in its row is +inf
+    w = np.abs(rng.normal(size=(4, 5))) + 0.1
+    messages = []
+    for helper in (SerialHelper(), HELPER, LateHelper()):
+        monkeypatch.setattr(engine, "_HELPER", helper)
+        xt, wt, tape = Tensor(x, name="x"), Tensor(w, name="w"), Tape()
+        with pytest.raises(NumericalError,
+                           match="op 'matmul' for input 'w'") as err:
+            tape.backward(tape.sum_all(tape.matmul(xt, wt)))
+        messages.append(str(err.value))
+    assert len(set(messages)) == 1
 
 
 @pytest.mark.parametrize("grad_shape,shape", [

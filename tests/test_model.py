@@ -465,3 +465,10 @@ def test_config_validation():
     with pytest.raises(DataError):
         ModelConfig(channels=4, bands=2, frames=6, classes=2,
                     spectral_layers=0)
+    for heads in (0, -1):     # 0 divides by zero; -1 fails only in forward
+        with pytest.raises(DataError, match="spectral_heads"):
+            ModelConfig(channels=4, bands=2, frames=6, classes=2,
+                        spectral_heads=heads)
+        with pytest.raises(DataError, match="spatial_heads"):
+            ModelConfig(channels=4, bands=2, frames=6, classes=2,
+                        spatial_heads=heads)
