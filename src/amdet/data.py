@@ -183,11 +183,17 @@ def synth_generate(spec: SynthSpec) -> RawRecording:
     so a value beyond the float32 range becomes inf and RawRecording refuses
     it."""
     fs = spec.sample_rate_hz
-    trial_len = int(round(spec.trial_seconds * fs))
-    base_len = int(round(spec.baseline_seconds * fs))
     n_trials = spec.n_classes * spec.trials_per_class
-    total = n_trials * (base_len + trial_len)
-    data = np.empty((spec.channels, total), np.float32)
+    try:    # finite durations times a finite rate can still be too many
+        trial_len = int(round(spec.trial_seconds * fs))
+        base_len = int(round(spec.baseline_seconds * fs))
+        data = np.empty((spec.channels, n_trials * (base_len + trial_len)),
+                        np.float32)
+    except (OverflowError, ValueError, MemoryError):
+        raise DataError(
+            f"synth: sample_rate_hz={fs} gives a recording of {n_trials} "
+            f"trials x {spec.baseline_seconds + spec.trial_seconds} s x "
+            f"{spec.channels} channels that cannot be allocated") from None
     trials: list[Trial] = []
     cursor = 0
     for ti in range(n_trials):

@@ -42,6 +42,19 @@ made anywhere flows into some leaf's gradient. Only if that check fails is the
 reverse pass replayed with a check after every op, to name the op and input
 that produced the first non-finite gradient.
 
+Forward values, unlike gradients, are written in place where a caller asks:
+``add``, ``scale``, ``relu`` and ``softmax`` take ``inplace=True`` to write
+their result into their first input's array, which no backward of theirs reads
+(``add`` and ``scale`` read shapes, ``relu`` a mask, ``softmax`` its own
+output), so the tape holds one array where it held two. The op raises
+``ValueError`` before it writes unless that input is the output of the node
+recorded last, that node is neither a view (``reshape``, ``transpose``,
+``slice_last``, which share their input's array) nor a ``softmax`` (whose
+backward reads its output), and the result keeps the input's shape and dtype.
+So a leaf (a parameter, an input) is never overwritten, nor a tensor that
+another recorded op reads; the caller must not read the overwritten tensor
+afterwards.
+
 A shared weight's gradient (the ``_sum_over_rows`` product) is computed on one
 helper thread, while the main thread goes on with the reverse pass; BLAS
 releases the interpreter lock, so the two products run on two cores. The op
@@ -80,6 +93,9 @@ TRIM_THRESHOLD = 256 << 20
 # a GEMM that sums over a multiple of this many rows gives the same bits at
 # any thread count (measured with OpenBLAS 0.3.31); other counts did not
 ROW_BLOCK = 32
+# ops whose output an in-place op may not overwrite: a view shares its
+# input's array, and softmax's backward reads its own output
+_KEEPS_OUTPUT = frozenset({"reshape", "transpose", "slice_last", "softmax"})
 
 
 def _pin_malloc_thresholds() -> bool:
@@ -228,6 +244,31 @@ class Tape:
         self.nodes.append(_Node(op, out, inputs, backward))
         return out
 
+    def _target(self, a: Tensor, inplace: bool, *others) -> Array | None:
+        """The array an op on ``a`` (and ``others``) writes its result into:
+        ``a.data`` if ``inplace``, else None for a fresh one.
+
+        Refuses, with ``ValueError`` and before anything is written, unless
+        ``a`` is the output of the node recorded last, that node is not in
+        ``_KEEPS_OUTPUT``, and the result has ``a``'s shape and dtype. So no
+        recorded op but ``a``'s producer has read ``a``, and that producer's
+        backward does not read it; leaves (parameters, inputs) are never
+        overwritten."""
+        if not inplace:
+            return None
+        last = self.nodes[-1] if self.nodes else None
+        if last is None or last.out is not a:
+            raise ValueError(f"in-place op on '{a.name}', which is not the "
+                             f"output of the last op recorded")
+        if last.op in _KEEPS_OUTPUT:
+            raise ValueError(f"in-place op on the output of '{last.op}'")
+        shape = np.broadcast_shapes(a.shape, *(np.shape(o) for o in others))
+        dtype = np.result_type(a.data, *others)
+        if shape != a.shape or dtype != a.data.dtype:
+            raise ValueError(f"in-place op on '{a.name}' {a.shape} "
+                             f"{a.data.dtype} would give {shape} {dtype}")
+        return a.data
+
     # ------------------------------------------------------------------ ops
 
     def matmul(self, a: Tensor, b: Tensor) -> Tensor:
@@ -260,8 +301,10 @@ class Tape:
 
         return self._record("matmul", out, (a, b), backward)
 
-    def add(self, a: Tensor, b: Tensor) -> Tensor:
-        out = Tensor(a.data + b.data, _name("add", a, b))
+    def add(self, a: Tensor, b: Tensor, inplace: bool = False) -> Tensor:
+        out = Tensor(np.add(a.data, b.data,
+                            out=self._target(a, inplace, b.data)),
+                     _name("add", a, b))
 
         def backward(g):
             return (_unbroadcast(g, a.data.shape) if a.needs_grad else None,
@@ -281,8 +324,9 @@ class Tape:
 
         return self._record("mul", out, (a, b), backward)
 
-    def scale(self, a: Tensor, c: float) -> Tensor:
-        out = Tensor(a.data * c, _name("scale", a))
+    def scale(self, a: Tensor, c: float, inplace: bool = False) -> Tensor:
+        out = Tensor(np.multiply(a.data, c, out=self._target(a, inplace, c)),
+                     _name("scale", a))
 
         def backward(g):
             return (g * c,)
@@ -329,19 +373,22 @@ class Tape:
 
         return self._record("concat_last", out, tuple(parts), backward)
 
-    def relu(self, a: Tensor) -> Tensor:
+    def relu(self, a: Tensor, inplace: bool = False) -> Tensor:
+        target = self._target(a, inplace)
         mask = a.data > 0
-        out = Tensor(np.maximum(a.data, 0.0), _name("relu", a))
+        out = Tensor(np.maximum(a.data, 0.0, out=target), _name("relu", a))
 
         def backward(g):
             return (g * mask,)
 
         return self._record("relu", out, (a,), backward)
 
-    def softmax(self, a: Tensor) -> Tensor:
+    def softmax(self, a: Tensor, inplace: bool = False) -> Tensor:
         """Softmax over the last axis."""
-        e = np.exp(a.data - _row_max(a.data))
-        p = e / _row_sum(e)
+        p = np.subtract(a.data, _row_max(a.data),
+                        out=self._target(a, inplace))
+        np.exp(p, out=p)
+        p /= _row_sum(p)
         out = Tensor(p, _name("softmax", a))
 
         def backward(g):

@@ -149,20 +149,26 @@ class SampleTensor:
 
 def _frame_counts(sample_rate_hz: float, sample_seconds: float,
                   frame_seconds: float) -> tuple[int, int]:
-    """(frames per sample, points per frame); rejects non-integral splits."""
+    """(frames per sample, points per frame); each must be a finite whole
+    number >= 1 (finite durations can still divide to inf or round to 0)."""
     if not (0 < sample_seconds < math.inf and 0 < frame_seconds < math.inf):
         raise DataError(f"sample_seconds={sample_seconds} and frame_seconds="
                         f"{frame_seconds} must be positive and finite")
+
+    def whole(count: float) -> bool:
+        return (count < math.inf and round(count) >= 1
+                and abs(count - round(count)) <= 1e-9)
+
     n_frames = sample_seconds / frame_seconds
-    if abs(n_frames - round(n_frames)) > 1e-9:
+    if not whole(n_frames):
         raise DataError(
-            f"sample_seconds={sample_seconds} is not an integer multiple of "
-            f"frame_seconds={frame_seconds}")
+            f"sample_seconds={sample_seconds} is not a finite, positive "
+            f"integer multiple of frame_seconds={frame_seconds}")
     frame_len = frame_seconds * sample_rate_hz
-    if abs(frame_len - round(frame_len)) > 1e-9:
+    if not whole(frame_len):
         raise DataError(
-            f"frame_seconds={frame_seconds} is not a whole number of samples "
-            f"at {sample_rate_hz} Hz")
+            f"frame_seconds={frame_seconds} is not a finite, positive whole "
+            f"number of samples at {sample_rate_hz} Hz")
     return int(round(n_frames)), int(round(frame_len))
 
 

@@ -149,6 +149,14 @@ def wrap_params(params: dict[str, np.ndarray], needs_grad: bool = True
 # ----------------------------------------------------------------- forward
 
 
+def _shared_linear(tape: Tape, p: dict[str, Tensor], name: str,
+                   x: Tensor) -> Tensor:
+    """x @ w + b for the shared weight ``name``; the bias is added in place
+    over the product, which nothing else reads."""
+    return tape.add(tape.matmul(x, p[f"{name}.w"]), p[f"{name}.b"],
+                    inplace=True)
+
+
 def mha(tape: Tape, p: dict[str, Tensor], prefix: str, x: Tensor,
         heads: int) -> tuple[Tensor, list[Tensor]]:
     """Multi-head scaled dot-product self-attention over the token axis.
@@ -161,9 +169,8 @@ def mha(tape: Tape, p: dict[str, Tensor], prefix: str, x: Tensor,
         raise DataError(f"token dim {d} not divisible by {heads} heads")
     if not np.all(np.isfinite(x.data)):
         raise NumericalError("non-finite attention input")
-    q = tape.add(tape.matmul(x, p[f"{prefix}.attn.wq.w"]), p[f"{prefix}.attn.wq.b"])
-    k = tape.add(tape.matmul(x, p[f"{prefix}.attn.wk.w"]), p[f"{prefix}.attn.wk.b"])
-    v = tape.add(tape.matmul(x, p[f"{prefix}.attn.wv.w"]), p[f"{prefix}.attn.wv.b"])
+    q, k, v = (_shared_linear(tape, p, f"{prefix}.attn.{proj}", x)
+               for proj in ("wq", "wk", "wv"))
     dk = d // heads
     head_outs, attns = [], []
     for h in range(heads):
@@ -172,14 +179,12 @@ def mha(tape: Tape, p: dict[str, Tensor], prefix: str, x: Tensor,
         kh = tape.slice_last(k, lo, hi)
         vh = tape.slice_last(v, lo, hi)
         scores = tape.scale(tape.matmul(qh, tape.transpose(kh)),
-                            1.0 / math.sqrt(dk))
-        attn = tape.softmax(scores)
+                            1.0 / math.sqrt(dk), inplace=True)
+        attn = tape.softmax(scores, inplace=True)
         attns.append(attn)
         head_outs.append(tape.matmul(attn, vh))
     concat = head_outs[0] if heads == 1 else tape.concat_last(head_outs)
-    out = tape.add(tape.matmul(concat, p[f"{prefix}.attn.wo.w"]),
-                   p[f"{prefix}.attn.wo.b"])
-    return out, attns
+    return _shared_linear(tape, p, f"{prefix}.attn.wo", concat), attns
 
 
 def encoder_layer(tape: Tape, p: dict[str, Tensor], prefix: str, x: Tensor,
@@ -188,10 +193,9 @@ def encoder_layer(tape: Tape, p: dict[str, Tensor], prefix: str, x: Tensor,
     attended, attns = mha(tape, p, prefix, x, heads)
     h = tape.layer_norm(tape.add(attended, x),
                         p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"])
-    hidden = tape.relu(tape.add(tape.matmul(h, p[f"{prefix}.mlp.w1.w"]),
-                                p[f"{prefix}.mlp.w1.b"]))
-    mlp_out = tape.add(tape.matmul(hidden, p[f"{prefix}.mlp.w2.w"]),
-                       p[f"{prefix}.mlp.w2.b"])
+    hidden = tape.relu(_shared_linear(tape, p, f"{prefix}.mlp.w1", h),
+                       inplace=True)
+    mlp_out = _shared_linear(tape, p, f"{prefix}.mlp.w2", hidden)
     out = tape.layer_norm(tape.add(mlp_out, h),
                           p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"])
     return out, attns

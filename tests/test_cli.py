@@ -294,6 +294,9 @@ def test_config_file_must_be_an_object(workdir, capsys):
     ("bands=5", "bands"),
     ("sample_seconds=NaN", "sample_seconds"),
     ("frame_seconds=1e400", "frame_seconds"),
+    ("frame_seconds=5e-324", "frame_seconds"),
+    ("sample_seconds=1e-12", "sample_seconds"),
+    ("frame_seconds=1e-12", "frame_seconds"),
 ])
 def test_bad_preprocess_config_exit_code_2(pipeline, override, named, capsys):
     out = pipeline / "badprep"
@@ -393,6 +396,7 @@ PLANTED = '{"class_index":0,"channels":[0],"lo_hz":8,"hi_hz":14,"amplitude":2.0'
     ("trial_seconds=NaN", "trial_seconds"),
     ("noise_scale=NaN", "noise_scale"),
     ("baseline_seconds=1e400", "baseline_seconds"),
+    ("sample_rate_hz=1e300", "sample_rate_hz"),
     ("planted=[" + PLANTED.replace("[0]", "[1.5]") + "}]", "channels"),
     ("planted=[" + PLANTED.replace("[0]", "5") + "}]", "channels"),
     ("planted=[" + PLANTED.replace(":0,", ":0.5,") + "}]", "class_index"),

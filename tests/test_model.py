@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from conftest import params64
+from amdet.attribution import rank_channels
 from amdet.engine import Tape, Tensor
 from amdet.errors import DataError, NumericalError
-from amdet.model import (ModelConfig, classify, encoder_layer, forward,
-                         init_params, mha, param_shapes, spatial_block,
-                         spectral_block, temporal_block, wrap_params)
+from amdet.model import (ABLATABLE_BLOCKS, ModelConfig, classify,
+                         encoder_layer, forward, init_params, mha,
+                         param_shapes, spatial_block, spectral_block,
+                         temporal_block, wrap_params)
 from amdet.model import _rng_for
 
 TOY = ModelConfig(channels=4, bands=2, frames=6, classes=2, seed=7,
@@ -314,6 +316,30 @@ def test_forward_shape_pipeline(rng):
         assert aux["spatial_out"].data.shape == \
             (1, cfg.frames, cfg.channels, cfg.feature_dim)
         assert logits.data.shape == (1, cfg.classes)
+
+
+@pytest.mark.parametrize("ablate", [None, *ABLATABLE_BLOCKS])
+def test_step_and_ranking_leave_parameters_and_input_unchanged(rng, ablate):
+    """The ops that write in place overwrite only intermediates: one
+    training step (forward and backward) and Grad-CAM ranking leave every
+    parameter array and the float32 input, which the forward pass reads
+    without a copy, byte-identical."""
+    cfg = replace(TOY, ablate=ablate)
+    params = init_params(cfg)
+    x = rng.normal(size=(5, cfg.frames, cfg.feature_dim, cfg.channels)
+                   ).astype(np.float32)
+    y = np.arange(5) % cfg.classes
+
+    def snapshot():
+        return [v.tobytes() for v in params.values()], x.tobytes()
+
+    before = snapshot()
+    tape = Tape()
+    logits, aux = forward(tape, wrap_params(params), cfg, x)
+    assert aux["input"].data is x
+    tape.backward(tape.cross_entropy(logits, y))
+    rank_channels(params, cfg, x, y)
+    assert snapshot() == before
 
 
 def test_forward_rejects_wrong_shape(rng):
