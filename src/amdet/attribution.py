@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import csv_text, read_bytes, replace_files
 from .engine import Tape, Tensor
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, check_labels
 from .model import INFERENCE_BATCH, ModelConfig, forward, wrap_params
 
 
@@ -45,13 +45,8 @@ def grad_cam_channels(params: dict[str, np.ndarray], cfg: ModelConfig,
                       ) -> np.ndarray:
     """Per-channel relevance (B, C) of samples (B, F, 2f, C), each for the
     logit of its own class in target_classes (B,), from one backward pass."""
-    classes = np.asarray(target_classes, dtype=np.int64)
-    if classes.shape != (len(samples),):
-        raise DataError(f"{classes.shape} target classes for "
-                        f"{len(samples)} samples")
-    if classes.size and (classes.min() < 0 or classes.max() >= cfg.classes):
-        raise DataError(f"target classes must lie in [0, {cfg.classes}), got "
-                        f"values from {classes.min()} to {classes.max()}")
+    classes = check_labels("grad_cam_channels", target_classes, len(samples),
+                           cfg.classes)
     tape = Tape()
     # only the input's gradient is read: parameters and the one-hot get none
     logits, aux = forward(tape, wrap_params(params, needs_grad=False), cfg,
@@ -71,11 +66,9 @@ def rank_channels(params: dict[str, np.ndarray], cfg: ModelConfig,
                   values: np.ndarray, labels: np.ndarray) -> ChannelReport:
     """Mean per-channel score over samples, each conditioned on its true class."""
     values = np.asarray(values)
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     if values.ndim != 4 or values.shape[0] == 0:
         raise DataError("rank_channels needs a non-empty (N, F, 2f, C) array")
-    if values.shape[0] != labels.shape[0]:
-        raise DataError("values and labels disagree on sample count")
+    labels = check_labels("rank_channels", labels, len(values), cfg.classes)
     total = np.zeros(cfg.channels)
     for lo in range(0, values.shape[0], INFERENCE_BATCH):
         hi = lo + INFERENCE_BATCH

@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, build, check_numbers
+from .errors import DataError, build, check_labels, check_numbers
 from .features import (BandSpec, RawRecording, SampleTensor, Trial,
                        all_finite, check_channel_names)
 
@@ -59,15 +59,15 @@ class PlantedSignal:
             raise DataError(f"planted: channels must be a non-empty list, got "
                             f"{self.channels!r}")
         object.__setattr__(self, "channels", tuple(self.channels))
-        check_numbers("planted", numbers.Integral, class_index=self.class_index,
+        check_numbers("planted", numbers.Integral, ">= 0",
+                      class_index=self.class_index,
                       **{f"channels[{i}]": ch
                          for i, ch in enumerate(self.channels)})
-        check_numbers("planted", numbers.Real, lo_hz=self.lo_hz,
+        check_numbers("planted", numbers.Real, ">= 0", lo_hz=self.lo_hz,
                       hi_hz=self.hi_hz, amplitude=self.amplitude)
-        if not (0 <= self.lo_hz < self.hi_hz):
-            raise DataError("planted band needs 0 <= lo < hi")
-        if self.amplitude < 0:
-            raise DataError("planted amplitude must be >= 0")
+        if not self.lo_hz < self.hi_hz:
+            raise DataError(f"planted: need lo_hz < hi_hz, got "
+                            f"[{self.lo_hz}, {self.hi_hz})")
 
 
 @dataclass(frozen=True)
@@ -89,37 +89,34 @@ class SynthSpec:
         object.__setattr__(self, "planted", tuple(
             sig if isinstance(sig, PlantedSignal)
             else build("planted", PlantedSignal, sig) for sig in self.planted))
-        check_numbers("synth", numbers.Integral, n_classes=self.n_classes,
-                      channels=self.channels,
-                      trials_per_class=self.trials_per_class, seed=self.seed)
-        check_numbers("synth", numbers.Real,
+        check_numbers("synth", numbers.Integral, ">= 2",
+                      n_classes=self.n_classes)
+        check_numbers("synth", numbers.Integral, ">= 1", channels=self.channels,
+                      trials_per_class=self.trials_per_class)
+        check_numbers("synth", numbers.Integral, ">= 0", seed=self.seed)
+        check_numbers("synth", numbers.Real, "> 0",
                       sample_rate_hz=self.sample_rate_hz,
                       trial_seconds=self.trial_seconds,
-                      noise_scale=self.noise_scale,
+                      noise_scale=self.noise_scale)
+        check_numbers("synth", numbers.Real, ">= 0",
                       baseline_seconds=self.baseline_seconds)
-        if self.n_classes < 2 or self.channels < 1:
-            raise DataError("need n_classes >= 2 and channels >= 1")
-        for name in ("sample_rate_hz", "trial_seconds", "noise_scale"):
-            if not 0 < getattr(self, name) < math.inf:      # NaN fails too
-                raise DataError(f"synth: {name} must be positive and finite, "
-                                f"got {getattr(self, name)}")
-        if self.trials_per_class < 1:
-            raise DataError("trials_per_class must be >= 1")
-        if not 0 <= self.baseline_seconds < math.inf:
-            raise DataError(f"synth: baseline_seconds must be finite and "
-                            f">= 0, got {self.baseline_seconds}")
-        if self.seed < 0:
-            raise DataError("seed must be >= 0")
+        # round(x) >= 1 exactly when x > 0.5; an inf product is left to
+        # synth_generate, which refuses a recording it cannot allocate
+        if not self.trial_seconds * self.sample_rate_hz > 0.5:
+            raise DataError(f"synth: trial_seconds={self.trial_seconds} "
+                            f"holds no sample at {self.sample_rate_hz} Hz")
         nyquist = self.sample_rate_hz / 2
         for sig in self.planted:
-            if not 0 <= sig.class_index < self.n_classes:
-                raise DataError(f"planted class {sig.class_index} out of range")
-            if max(sig.channels) >= self.channels or min(sig.channels) < 0:
-                raise DataError(f"planted channels {sig.channels} out of range")
+            if sig.class_index >= self.n_classes:
+                raise DataError(f"synth: planted class_index "
+                                f"{sig.class_index} >= n_classes")
+            if max(sig.channels) >= self.channels:
+                raise DataError(f"synth: planted channels {sig.channels} "
+                                f"out of range for {self.channels} channels")
             if sig.hi_hz > nyquist:
                 raise DataError(
-                    f"planted band [{sig.lo_hz}, {sig.hi_hz}) exceeds "
-                    f"Nyquist {nyquist} Hz")
+                    f"synth: planted hi_hz {sig.hi_hz} exceeds Nyquist "
+                    f"{nyquist} Hz")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -391,13 +388,10 @@ class FeatureSet:
     channels: list[str] | None = None
 
     def __post_init__(self):
-        labels = np.asarray(self.labels)
-        if labels.shape != (len(self.values),) or labels.dtype.kind not in "iu":
-            raise DataError(f"labels must be a 1-D integer array of length "
-                            f"{len(self.values)}, got {labels.dtype} of shape "
-                            f"{labels.shape}")
-        if labels.size and labels.min() < 0:
-            raise DataError(f"labels must be non-negative, got {labels.min()}")
+        # no more classes than samples: a class count is what a model and
+        # its confusion matrix allocate
+        n = len(self.values)
+        self.labels = check_labels("features", self.labels, n, n)
         n_channels = self.values.shape[-1]
         if self.channels is None:
             self.channels = [f"ch{i:02d}" for i in range(n_channels)]
@@ -422,7 +416,7 @@ def write_features(path: str | Path, samples: list[SampleTensor],
                    channels: list[str] | None = None) -> None:
     """Write samples as a FEAT pair, refusing what read_features refuses:
     each label is checked as the reader checks it, then the samples must
-    make a valid FeatureSet (non-negative labels, one unique name per
+    make a valid FeatureSet (labels in [0, samples), one unique name per
     channel)."""
     if not samples:
         raise DataError("cannot write an empty feature file")
@@ -453,11 +447,11 @@ def read_features(path: str | Path) -> FeatureSet:
     payload bytes read."""
     manifest, payload = _read_pair(path, "feature", shape=list, samples=list)
     shape = manifest["shape"]
-    if not (len(shape) == 3 and all(
-            isinstance(n, int) and not isinstance(n, bool) and n > 0
-            for n in shape)):
-        raise DataError(f"{path}: shape {shape!r} is not three positive "
-                        "integers (frames, 2 x bands, channels)")
+    if len(shape) != 3:
+        raise DataError(f"{path}: shape {shape!r} is not [frames, 2 x bands, "
+                        "channels]")
+    check_numbers(f"{path}: shape", numbers.Integral, ">= 1",
+                  **dict(zip(("frames", "features", "channels"), shape)))
     entries = manifest["samples"]
     stride = math.prod(shape) * 4
     expected = stride * len(entries)
@@ -471,15 +465,16 @@ def read_features(path: str | Path) -> FeatureSet:
         for i, entry in enumerate(entries):
             off = entry["offset"]
             if off != i * stride:
-                raise DataError(f"{path}: sample {i} offset {off} != "
-                                f"expected {i * stride}")
-            check_numbers(f"{path}: sample {i}", numbers.Integral,
-                          label=entry["label"])
+                raise DataError(f"sample {i} offset {off} != expected "
+                                f"{i * stride}")
+            check_numbers(f"sample {i}", numbers.Integral, label=entry["label"])
             labels[i] = entry["label"]
             metas.append(dict(entry.get("meta", {})))
         bands = [BandSpec(b["name"], b["lo_hz"], b["hi_hz"])
                  for b in manifest.get("bands", [])]
+        return FeatureSet(payload.reshape((len(entries), *shape)), labels,
+                          metas, bands, manifest.get("channels"))
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise DataError(f"{path}: malformed manifest: {e!r}") from e
-    return FeatureSet(payload.reshape((len(entries), *shape)), labels, metas,
-                      bands, manifest.get("channels"))
+    except DataError as e:          # an offset, label, band or channel list
+        raise DataError(f"{path}: {e}") from e

@@ -82,7 +82,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DataError, NumericalError, check_numbers
+from .errors import NumericalError, check_labels, check_numbers
 
 Array = np.ndarray
 
@@ -436,14 +436,9 @@ class Tape:
         Fused forward/backward via log-sum-exp; gradient is (p - onehot)/B.
         """
         z = logits.data
-        labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-        if z.ndim != 2 or z.shape[0] != labels.shape[0]:
-            raise ValueError(
-                f"logits {z.shape} incompatible with {labels.shape[0]} labels")
-        if labels.size and not (0 <= labels.min() and labels.max() < z.shape[1]):
-            raise DataError(
-                f"labels must lie in [0, {z.shape[1]}), got "
-                f"[{labels.min()}, {labels.max()}]")
+        if z.ndim != 2:
+            raise ValueError(f"logits must be 2-D, got shape {z.shape}")
+        labels = check_labels("cross_entropy", labels, *z.shape)
         m = z.max(axis=-1, keepdims=True)
         lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=-1))
         picked = z[np.arange(z.shape[0]), labels]
@@ -529,16 +524,10 @@ class OptimizerConfig:
     batch_size: int = 16
 
     def __post_init__(self):
-        rates = {"lr": self.lr, "weight_decay": self.weight_decay}
-        check_numbers("optimizer", numbers.Real, **rates)
-        check_numbers("optimizer", numbers.Integral, batch_size=self.batch_size)
-        for name, value in rates.items():
-            if not 0 <= value < math.inf:       # NaN fails too
-                raise DataError(f"optimizer: {name} must be finite and >= 0, "
-                                f"got {value}")
-        if self.batch_size < 1:
-            raise DataError(f"optimizer: batch_size must be >= 1, got "
-                            f"{self.batch_size}")
+        check_numbers("optimizer", numbers.Real, ">= 0", lr=self.lr,
+                      weight_decay=self.weight_decay)
+        check_numbers("optimizer", numbers.Integral, ">= 1",
+                      batch_size=self.batch_size)
 
 
 class AdamW:

@@ -35,10 +35,11 @@ class BandSpec:
     hi_hz: float
 
     def __post_init__(self):
-        check_numbers(f"band {self.name!r}", numbers.Real, lo_hz=self.lo_hz,
-                      hi_hz=self.hi_hz)
-        if not (0 <= self.lo_hz < self.hi_hz):
-            raise DataError(f"band {self.name!r}: need 0 <= lo < hi, "
+        check_numbers(f"band {self.name!r}", numbers.Real, hi_hz=self.hi_hz)
+        check_numbers(f"band {self.name!r}", numbers.Real, ">= 0",
+                      lo_hz=self.lo_hz)
+        if not self.lo_hz < self.hi_hz:
+            raise DataError(f"band {self.name!r}: need lo_hz < hi_hz, "
                             f"got [{self.lo_hz}, {self.hi_hz})")
 
 
@@ -112,10 +113,8 @@ class RawRecording:
     def __post_init__(self):
         with np.errstate(over="ignore"):    # overflow is inf, refused below
             self.data = np.asarray(self.data, dtype=np.float32)
-        check_numbers("recording", numbers.Real,
+        check_numbers("recording", numbers.Real, "> 0",
                       sample_rate_hz=self.sample_rate_hz)
-        if not 0 < self.sample_rate_hz < math.inf:
-            raise DataError("sample_rate_hz must be positive and finite")
         if self.data.ndim != 2 or not self.data.shape[0]:
             raise DataError(f"data must be 2-D with at least one channel row, "
                             f"got shape {self.data.shape}")
@@ -151,9 +150,8 @@ def _frame_counts(sample_rate_hz: float, sample_seconds: float,
                   frame_seconds: float) -> tuple[int, int]:
     """(frames per sample, points per frame); each must be a finite whole
     number >= 1 (finite durations can still divide to inf or round to 0)."""
-    if not (0 < sample_seconds < math.inf and 0 < frame_seconds < math.inf):
-        raise DataError(f"sample_seconds={sample_seconds} and frame_seconds="
-                        f"{frame_seconds} must be positive and finite")
+    check_numbers("preprocess", numbers.Real, "> 0",
+                  sample_seconds=sample_seconds, frame_seconds=frame_seconds)
 
     def whole(count: float) -> bool:
         return (count < math.inf and round(count) >= 1
@@ -346,8 +344,6 @@ def extract_features(rec: RawRecording,
     A trial's DE rows are baseline-corrected exactly when the trial carries
     a baseline range; every sample is then z-scored.
     """
-    check_numbers("preprocess", numbers.Real, sample_seconds=sample_seconds,
-                  frame_seconds=frame_seconds)
     out = []
     fs = rec.sample_rate_hz
     for ti, (trial, frames) in enumerate(

@@ -19,7 +19,8 @@ import numpy as np
 from .checkpoint import save_checkpoint
 from .data import FeatureSet, csv_text, replace_files
 from .engine import AdamW, OptimizerConfig, Tape
-from .errors import DataError, NumericalError, build, check_numbers
+from .errors import (DataError, NumericalError, build, check_labels,
+                     check_numbers)
 from .model import (ModelConfig, forward, forward_flops, init_params,
                     param_shapes, predict, wrap_params)
 
@@ -39,23 +40,21 @@ class ExperimentConfig:
     model: dict = field(default_factory=dict)   # ModelConfig field overrides
 
     def __post_init__(self):
-        check_numbers("config", numbers.Integral, seed=self.seed,
-                      folds=self.folds, epochs=self.epochs)
+        check_numbers("config", numbers.Integral, ">= 0", seed=self.seed)
+        check_numbers("config", numbers.Integral, ">= 2", folds=self.folds)
+        check_numbers("config", numbers.Integral, ">= 1", epochs=self.epochs)
         if not isinstance(self.optimizer, OptimizerConfig):
             self.optimizer = build("optimizer", OptimizerConfig,
                                    self.optimizer)
         if not isinstance(self.model, dict):
-            raise DataError(f"model must be a mapping, got {self.model!r}")
+            raise DataError(f"config: model must be a mapping, got "
+                            f"{self.model!r}")
         if "seed" in self.model:
-            raise DataError("model.seed: set the top-level seed instead")
-        if self.seed < 0:
-            raise DataError("seed must be >= 0")
-        if self.folds < 2:
-            raise DataError("folds must be >= 2")
-        if self.epochs < 1:
-            raise DataError("epochs must be >= 1")
+            raise DataError("config: model.seed: set the top-level seed "
+                            "instead")
         if self.split_mode not in SPLIT_MODES:
-            raise DataError(f"split_mode must be one of {SPLIT_MODES}")
+            raise DataError(f"config: split_mode must be one of "
+                            f"{SPLIT_MODES}, got {self.split_mode!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -177,15 +176,10 @@ def evaluate(params: dict[str, np.ndarray], model_cfg: ModelConfig,
              x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     """(accuracy, confusion matrix with rows = true class)."""
     k = model_cfg.classes
-    y = np.asarray(y)
-    if y.shape != (len(x),):
-        raise DataError(f"{y.shape} labels for {len(x)} samples")
-    if y.size and (y.min() < 0 or y.max() >= k):
-        raise DataError(f"labels must lie in [0, {k}), got values from "
-                        f"{y.min()} to {y.max()}")
+    y = check_labels("evaluate", y, len(x), k)
     preds = predict(params, model_cfg, x)
     confusion = np.zeros((k, k), dtype=np.int64)
-    np.add.at(confusion, (y.astype(np.intp), preds), 1)
+    np.add.at(confusion, (y, preds), 1)
     accuracy = float(np.trace(confusion)) / max(len(y), 1)
     return accuracy, confusion
 

@@ -51,29 +51,22 @@ class ModelConfig:
 
     def __post_init__(self):
         sizes = asdict(self)
-        del sizes["ablate"]
-        check_numbers("model config", numbers.Integral, **sizes)
+        del sizes["ablate"], sizes["classes"], sizes["seed"]
+        check_numbers("model config", numbers.Integral, seed=self.seed)
+        check_numbers("model config", numbers.Integral, ">= 2",
+                      classes=self.classes)
+        check_numbers("model config", numbers.Integral, ">= 1", **sizes)
         if self.ablate not in (None, *ABLATABLE_BLOCKS):
             raise DataError(f"model config: ablate must be one of "
                             f"{ABLATABLE_BLOCKS} or null, got {self.ablate!r}")
-        if min(self.channels, self.bands, self.frames) < 1 or self.classes < 2:
-            raise DataError("model dimensions must be positive (classes >= 2)")
-        if self.spectral_layers < 1 or self.spatial_layers < 1:
-            raise DataError("encoder layer counts must be >= 1")
-        if self.spectral_heads < 1 or self.spatial_heads < 1:
-            raise DataError(f"model config: spectral_heads and spatial_heads "
-                            f"must be >= 1, got {self.spectral_heads} and "
-                            f"{self.spatial_heads}")
         if self.channels % self.spectral_heads != 0:
             raise DataError(
-                f"channels={self.channels} not divisible by "
+                f"model config: channels={self.channels} not divisible by "
                 f"spectral_heads={self.spectral_heads}")
         if self.feature_dim % self.spatial_heads != 0:
             raise DataError(
-                f"feature dim {self.feature_dim} not divisible by "
-                f"spatial_heads={self.spatial_heads}")
-        if self.mlp_ratio < 1:
-            raise DataError("mlp_ratio must be >= 1")
+                f"model config: 2 x bands={self.feature_dim} not divisible "
+                f"by spatial_heads={self.spatial_heads}")
 
     @property
     def feature_dim(self) -> int:

@@ -57,6 +57,9 @@ def test_bad_target_class_rejected():
         grad_cam_channels(params, CFG, x, target_classes=np.array([-1]))
     with pytest.raises(DataError):
         grad_cam_channels(params, CFG, x, target_classes=np.array([0, 1]))
+    # a float class used to be truncated, so 0.7 picked class 0
+    with pytest.raises(DataError, match="grad_cam_channels: labels"):
+        grad_cam_channels(params, CFG, x, target_classes=np.array([0.7]))
 
 
 def test_single_sample_ranking_matches_its_scores():

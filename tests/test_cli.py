@@ -229,6 +229,22 @@ def test_eval_negative_label_exit_code_2(pipeline, capsys):
     assert "non-negative" in capsys.readouterr().err
 
 
+def test_train_label_beyond_sample_count_exit_code_2(pipeline, capsys):
+    # classes would be max label + 1: a 10**12 label must not size an array
+    import shutil
+    for ext in (".json", ".f32"):
+        shutil.copy(pipeline / f"feat{ext}", pipeline / f"huge{ext}")
+    manifest = json.loads((pipeline / "huge.json").read_text())
+    manifest["samples"][0]["label"] = 10 ** 12
+    (pipeline / "huge.json").write_text(json.dumps(manifest))
+    assert main(["train", "--features", str(pipeline / "huge"),
+                 "--out", str(pipeline / "hugerun")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {pipeline / 'huge'}: ") and \
+        "labels" in err, err
+    assert not (pipeline / "hugerun").exists()
+
+
 def test_config_file_with_set_override(workdir, capsys):
     config = workdir / "synth.json"
     config.write_text(json.dumps({"trials_per_class": 2, "channels": 4,
@@ -264,6 +280,12 @@ def test_config_file_with_set_override(workdir, capsys):
     ("optimizer.lr=1e400", "lr"),           # JSON for inf
     ("model.spectral_heads=0", "spectral_heads"),
     ("model.spatial_heads=-1", "spatial_heads"),
+    ("model.bands=0", "bands"),
+    ("model.frames=0", "frames"),
+    ("model.spectral_layers=0", "spectral_layers"),
+    ("model.classes=1", "classes"),
+    ("epochs=0", "epochs"),
+    ("folds=1", "folds"),
 ])
 def test_bad_config_field_exit_code_2(pipeline, override, named, capsys):
     assert main(["train", "--features", str(pipeline / "feat"),
@@ -397,6 +419,7 @@ PLANTED = '{"class_index":0,"channels":[0],"lo_hz":8,"hi_hz":14,"amplitude":2.0'
     ("noise_scale=NaN", "noise_scale"),
     ("baseline_seconds=1e400", "baseline_seconds"),
     ("sample_rate_hz=1e300", "sample_rate_hz"),
+    ("trial_seconds=1e-300", "trial_seconds"),
     ("planted=[" + PLANTED.replace("[0]", "[1.5]") + "}]", "channels"),
     ("planted=[" + PLANTED.replace("[0]", "5") + "}]", "channels"),
     ("planted=[" + PLANTED.replace(":0,", ":0.5,") + "}]", "class_index"),

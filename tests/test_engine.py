@@ -717,6 +717,14 @@ def test_cross_entropy_rejects_out_of_range_label(label):
         Tape().cross_entropy(logits, np.array([0, label]))
 
 
+@pytest.mark.parametrize("labels", [np.array([0.0, 1.0]),
+                                    np.array([[0], [1]])])
+def test_cross_entropy_rejects_float_or_2d_labels(labels):
+    logits = Tensor(np.zeros((2, 3)))
+    with pytest.raises(DataError, match="cross_entropy: labels"):
+        Tape().cross_entropy(logits, labels)
+
+
 # ------------------------------------------------------------------- AdamW
 
 

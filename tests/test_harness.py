@@ -197,6 +197,14 @@ def test_evaluate_rejects_label_out_of_range(rng, bad):
         evaluate(params, cfg, rng.normal(size=(4, 6, 4, 4)), y)
 
 
+def test_evaluate_rejects_float_labels(rng):
+    # a float label used to be truncated, so 0.7 counted as class 0
+    params, cfg = untrained_model()
+    with pytest.raises(DataError, match="evaluate: labels"):
+        evaluate(params, cfg, rng.normal(size=(4, 6, 4, 4)),
+                 np.array([0.7, 1.0, 2.0, 0.0]))
+
+
 def test_evaluate_rejects_label_count_mismatch(rng):
     params, cfg = untrained_model()
     with pytest.raises(DataError):
