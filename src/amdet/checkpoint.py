@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import _read_pair, _write_pair
 from .errors import DataError
-from .model import ModelConfig, param_shapes
+from .model import ModelConfig, param_array_count, param_shapes
 
 
 def _check_layout(path, index: list, config: ModelConfig) -> list[list]:
@@ -54,15 +54,19 @@ def load_checkpoint(path: str | Path
     """Returns (params as float32 views of one array, exactly as stored,
     config, extra manifest fields).
 
-    The params list must be `param_shapes(config)`, the payload must hold
-    exactly their values, and extra (if present) must be an object. A config
-    without "ablate" is a full model.
+    The params list must be `param_shapes(config)` (counted first), the
+    payload must hold exactly their values, and extra (if present) must be
+    an object. A config without "ablate" is a full model.
     """
     manifest, payload = _read_pair(path, "checkpoint", params=list)
     config = ModelConfig.from_dict(manifest.get("config"))
     extra = manifest.get("extra", {})
     if not isinstance(extra, dict):
         raise DataError(f"{path}: checkpoint extra {extra!r} is not an object")
+    listed, need = len(manifest["params"]), param_array_count(config)
+    if listed != need:      # before param_shapes lists every layer
+        raise DataError(f"{path}: checkpoint lists {listed} parameters, the "
+                        f"config needs {need}")
     layout = _check_layout(path, manifest["params"], config)
     sizes = [math.prod(shape) for _, shape in layout]
     if payload.size != sum(sizes):

@@ -55,14 +55,12 @@ So a leaf (a parameter, an input) is never overwritten, nor a tensor that
 another recorded op reads; the caller must not read the overwritten tensor
 afterwards.
 
-A shared weight's gradient (the ``_sum_over_rows`` product) is computed on one
-helper thread, while the main thread goes on with the reverse pass; BLAS
-releases the interpreter lock, so the two products run on two cores. The op
-hands back a pending gradient, and the pass waits for it only where it is
-read: by the node that produced the weight, by a second contribution to the
-same tensor (added in arrival order), by the per-op check of the replay, and
-on the leaves before the finiteness check. Each product runs the same
-arithmetic as on the main thread, so every gradient has the same bits.
+A shared-weight matmul's backward computes its weight gradient (the
+``_sum_over_rows`` product) on one helper thread while the calling thread
+computes the input gradient; BLAS releases the interpreter lock, so the two
+products run on two cores. The closure waits for the weight gradient before
+it returns, so the reverse pass sees only arrays. Each product runs the same
+arithmetic as on the calling thread, so every gradient has the same bits.
 
 Importing the engine pins glibc's malloc thresholds and its arena count (see
 `_pin_malloc_thresholds`), so that the temporaries of every pass, the helper
@@ -76,7 +74,7 @@ import ctypes
 import math
 import numbers
 import os
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -193,11 +191,6 @@ def _sum_over_rows(a: Array, b: Array) -> Array:
     return a.T @ b
 
 
-def _resolved(g: Array | Future | None) -> Array | None:
-    """``g``, or the array of a pending gradient once it is computed."""
-    return g.result() if isinstance(g, Future) else g
-
-
 def _row_sum(a: Array, b: Array | None = None) -> Array:
     """Sum over the last axis of ``a`` (of ``a * b`` if ``b`` is given) as
     one contraction, keeping that axis with length 1. ``ufunc.reduce`` pays a
@@ -282,13 +275,12 @@ class Tape:
 
             def backward(g):
                 g = g.reshape(-1, n)
-                # pending: computed on the helper thread while the pass goes
-                # on; it already has b's shape
+                # the weight product runs on the helper thread meanwhile
                 gb = _HELPER.submit(_sum_over_rows, rows, g) if b.needs_grad \
                     else None
                 ga = (g @ b.data.T).reshape(a.data.shape) if a.needs_grad \
                     else None
-                return ga, gb
+                return ga, None if gb is None else gb.result()
         else:
             out = Tensor(a.data @ b.data, _name("matmul", a, b))
 
@@ -471,8 +463,6 @@ class Tape:
         leaves = {id(t): t for node in self.nodes for t in node.inputs
                   if id(t) not in produced}.values()
         self._reverse(loss, check=False)
-        for t in leaves:
-            t.grad = _resolved(t.grad)
         bad = next((t for t in leaves if t.grad is not None
                     and not np.all(np.isfinite(t.grad))), None)
         if bad is None:
@@ -487,24 +477,19 @@ class Tape:
         loss.grad = np.ones_like(loss.data) if loss.needs_grad else None
         for node in reversed(self.nodes):
             # a produced tensor's gradient is freed once its node has used it
-            g, node.out.grad = _resolved(node.out.grad), None
+            g, node.out.grad = node.out.grad, None
             if g is None:
                 continue
             for inp, gi in zip(node.inputs, node.backward(g)):
                 if gi is None:
                     continue
-                if check:
-                    gi = _resolved(gi)
-                    if not np.all(np.isfinite(gi)):
-                        raise NumericalError(
-                            f"non-finite gradient produced by op '{node.op}' "
-                            f"for input '{inp.name}'")
-                if not isinstance(gi, Future):  # a pending one has the shape
-                    gi = gi.reshape(inp.data.shape)
-                # out of place: gi may alias another tensor's gradient; a
-                # second contribution waits for both and adds in arrival order
-                inp.grad = gi if inp.grad is None else \
-                    _resolved(inp.grad) + _resolved(gi)
+                if check and not np.all(np.isfinite(gi)):
+                    raise NumericalError(
+                        f"non-finite gradient produced by op '{node.op}' "
+                        f"for input '{inp.name}'")
+                gi = gi.reshape(inp.data.shape)
+                # out of place: gi may alias another tensor's gradient
+                inp.grad = gi if inp.grad is None else inp.grad + gi
 
     def matmul_flops(self) -> int:
         """2 * multiply-adds summed over every matmul recorded so far."""

@@ -121,9 +121,10 @@ def kfold_split(n_samples: int, folds: int, mode: str, seed: int,
     else:
         if metas is None:
             raise DataError("trial mode needs per-sample meta with trial ids")
-        trial_of = np.asarray([m.get("trial", -1) for m in metas])
-        if (trial_of < 0).any():
-            raise DataError("trial mode: some samples lack a trial id")
+        trial_of = [m.get("trial") for m in metas]
+        check_numbers("trial mode", numbers.Integral, ">= 0", **{
+            f"sample {i} meta.trial": t for i, t in enumerate(trial_of)})
+        trial_of = np.asarray(trial_of)
         trial_ids = np.unique(trial_of)
         if trial_ids.size < folds:
             raise DataError(

@@ -112,6 +112,12 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     return dict(sorted(shapes.items()))
 
 
+def param_array_count(cfg: ModelConfig) -> int:
+    """len(param_shapes(cfg)) without listing a layer: 6 arrays outside the
+    encoders (two positional maps, two linears) and 16 per encoder layer."""
+    return 6 + 16 * (cfg.spectral_layers + cfg.spatial_layers)
+
+
 def init_params(cfg: ModelConfig) -> dict[str, np.ndarray]:
     """Seeded float32 arrays in param_shapes order, each drawn in float64
     from its own name-keyed stream: positional maps N(0, 0.02), linear

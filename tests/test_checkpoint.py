@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from amdet import checkpoint
 from amdet.checkpoint import load_checkpoint, save_checkpoint
 from amdet.cli import main
 from amdet.data import write_features
@@ -239,3 +240,23 @@ def test_malformed_checkpoint_eval_exits_2(case, tmp_path, eval_features,
     assert main(["eval", "--checkpoint", str(path),
                  "--features", str(eval_features)]) == 2
     assert "data error" in capsys.readouterr().err
+
+
+def test_checkpoint_with_a_billion_layers_is_refused_before_listing_them(
+        tmp_path, eval_features, monkeypatch, capsys):
+    """The manifest's entry count is compared with the config's before
+    param_shapes would enumerate 10**9 layers."""
+    path = tmp_path / "m.amdw"
+    save_checkpoint(path, init_params(CFG), CFG)
+    _edit_header(path, lambda h: h["config"].update(spectral_layers=10 ** 9))
+
+    def listing(config):
+        raise AssertionError("param_shapes ran")
+    monkeypatch.setattr(checkpoint, "param_shapes", listing)
+    with pytest.raises(DataError, match="lists 38 parameters, the config "
+                                        "needs 16000000022"):
+        load_checkpoint(path)
+    assert main(["eval", "--checkpoint", str(path),
+                 "--features", str(eval_features)]) == 2
+    assert capsys.readouterr().err.startswith(f"data error: {path}: "
+                                              "checkpoint lists 38")

@@ -245,6 +245,25 @@ def test_train_label_beyond_sample_count_exit_code_2(pipeline, capsys):
     assert not (pipeline / "hugerun").exists()
 
 
+@pytest.mark.parametrize("trial", ["x", None, [1], 1.5, True],
+                         ids=["string", "null", "list", "float", "bool"])
+def test_bad_trial_id_exit_code_2(pipeline, trial, capsys):
+    # trial folds read every sample's meta.trial; true must not join trial 1
+    import shutil
+    for ext in (".json", ".f32"):
+        shutil.copy(pipeline / f"feat{ext}", pipeline / f"trialid{ext}")
+    manifest = json.loads((pipeline / "trialid.json").read_text())
+    manifest["samples"][1]["meta"]["trial"] = trial
+    (pipeline / "trialid.json").write_text(json.dumps(manifest))
+    assert main(["train", "--features", str(pipeline / "trialid"),
+                 "--out", str(pipeline / "trialrun"),
+                 "--set", 'split_mode="trial"', "--set", "folds=2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: trial mode: sample 1 meta.trial "
+                          "must be"), err
+    assert not (pipeline / "trialrun").exists()
+
+
 def test_config_file_with_set_override(workdir, capsys):
     config = workdir / "synth.json"
     config.write_text(json.dumps({"trials_per_class": 2, "channels": 4,

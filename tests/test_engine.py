@@ -463,8 +463,8 @@ def test_shared_weight_matmul_backward_matches_reference(rng, a_shape,
                                                          swapped):
     """The flattened 2-D GEMMs match the stacked products, forward and
     backward; a non-contiguous left operand (a swapaxes view, which the
-    flattening has to copy) as well. The closure hands back the weight
-    gradient pending on the helper thread; the test waits for it."""
+    flattening has to copy) as well. The closure hands back both gradients
+    as arrays, the helper thread's included."""
     a_data = rng.normal(size=a_shape)
     if swapped:
         a_data = np.swapaxes(np.swapaxes(a_data, -2, -3).copy(), -2, -3)
@@ -476,30 +476,32 @@ def test_shared_weight_matmul_backward_matches_reference(rng, a_shape,
     assert rel_err(out.data, np.matmul(a.data, b.data)) < 1e-12
     g = rng.normal(size=out.shape)
     ga, gb = tape.nodes[-1].backward(g)
-    assert isinstance(gb, Future)
-    gb = gb.result(timeout=10)
+    assert type(ga) is np.ndarray and type(gb) is np.ndarray
     ref_ga, ref_gb = matmul_backward_batched(a.data, b.data, g)
     assert ga.shape == a_shape and gb.shape == (4, 6)
     assert rel_err(ga, ref_ga) < 1e-12
     assert rel_err(gb, ref_gb) < 1e-12
 
 
-# ------------------------------------------ pending weight gradients
+# ------------------------------------------ weight gradients on the helper
 
 HELPER = engine._HELPER
 
 
 class SerialHelper:
     """Computes each weight gradient at once, on the calling thread, and
-    hands back the array itself: the reverse pass without a helper thread."""
+    hands it back as a completed Future: the reverse pass without a helper
+    thread."""
 
     def submit(self, fn, *args):
-        return fn(*args)
+        done = Future()
+        done.set_result(fn(*args))
+        return done
 
 
 class LateHelper:
     """The helper thread, starting each product late, so that it is still
-    pending when the pass first reads it."""
+    running when the calling thread has its input gradient."""
 
     def submit(self, fn, *args):
         def late():
@@ -523,11 +525,11 @@ def two_products(t, x1, x2, w):
     return t.add(t.matmul(x1, w), t.matmul(x2, w))
 
 
-def product_then_add(t, x, w):            # pending first, then a plain one
+def product_then_add(t, x, w):            # helper's first, then a plain one
     return t.matmul(t.add(x, w), w)
 
 
-def add_product_add(t, x, w):             # plain, pending, plain
+def add_product_add(t, x, w):             # plain, helper's, plain
     return t.add(t.matmul(t.add(x, w), w), w)
 
 
@@ -586,31 +588,22 @@ def test_model_step_gradients_match_serial_bitwise(monkeypatch):
             np.testing.assert_array_equal(run[k], serial[k], err_msg=k)
 
 
-def test_reverse_pass_leaves_a_leaf_weight_gradient_pending(rng,
-                                                            monkeypatch):
-    """The pass itself does not wait for a leaf's weight gradient; only
-    backward does, before its finiteness check."""
-    release = threading.Event()
+def test_weight_product_runs_on_the_helper_thread(rng, monkeypatch):
+    """The weight product of a shared-weight matmul runs on the helper
+    thread, not on the thread that runs the reverse pass."""
+    product, threads = engine._sum_over_rows, []
 
-    class GatedHelper:
-        def submit(self, fn, *args):
-            def gated():
-                if not release.wait(timeout=10):
-                    raise TimeoutError("the reverse pass waited")
-                return fn(*args)
-            return HELPER.submit(gated)
+    def recorded(a, b):
+        threads.append(threading.current_thread())
+        return product(a, b)
 
-    x, w = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5))
-    monkeypatch.setattr(engine, "_HELPER", GatedHelper())
-    wt, tape = Tensor(w), Tape()
-    loss = tape.sum_all(tape.relu(tape.matmul(Tensor(x), wt)))
-    tape._reverse(loss, check=False)
-    pending = wt.grad
-    assert isinstance(pending, Future) and not pending.done()
-    release.set()
-    serial = leaf_grads(lambda t, x, w: t.relu(t.matmul(x, w)), [x, w],
-                        SerialHelper(), monkeypatch)[1]
-    np.testing.assert_array_equal(pending.result(timeout=10), serial)
+    monkeypatch.setattr(engine, "_sum_over_rows", recorded)
+    wt, tape = Tensor(rng.normal(size=(4, 5))), Tape()
+    tape.backward(tape.sum_all(tape.matmul(Tensor(rng.normal(size=(2, 3, 4))),
+                                           wt)))
+    assert wt.grad.shape == (4, 5) and len(threads) == 1
+    assert threads[0] is not threading.current_thread()
+    assert threads[0].name.startswith("amdet-weight-grad")
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

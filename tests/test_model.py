@@ -12,7 +12,8 @@ from amdet.engine import Tape, Tensor
 from amdet.errors import DataError, NumericalError
 from amdet.model import (ABLATABLE_BLOCKS, ModelConfig, classify,
                          encoder_layer, forward, init_params, mha,
-                         param_shapes, spatial_block, spectral_block,
+                         param_array_count, param_shapes, spatial_block,
+                         spectral_block,
                          temporal_block, wrap_params)
 from amdet.model import _rng_for
 
@@ -469,6 +470,7 @@ def test_init_params_matches_reference_bitwise(cfg):
 def test_param_shapes_is_sorted_and_is_the_init_layout(cfg):
     shapes = param_shapes(cfg)
     assert list(shapes) == sorted(shapes)
+    assert len(shapes) == param_array_count(cfg)
     params = init_params(cfg)
     assert list(params) == list(shapes)
     assert {k: v.shape for k, v in params.items()} == shapes
