@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from itertools import zip_longest
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -36,6 +37,24 @@ def _check_layout(path, index: list, config: ModelConfig) -> list[list]:
         raise DataError(f"{path}: checkpoint parameter {mismatch[0]!r} where "
                         f"the config needs {mismatch[1]!r}")
     return want
+
+
+def _check_entry_count(path, listed: int, config) -> None:
+    """Refuse a manifest whose entry count differs from what its config's
+    layer counts need. It reads them from the JSON before ModelConfig is
+    built, so a file whose layer counts were raised past the model's size
+    caps is refused for the listing they contradict, and param_shapes never
+    lists them; layer counts that are not integers are left to ModelConfig."""
+    if not isinstance(config, dict):
+        return
+    layers = {k: config.get(k, getattr(ModelConfig, k))
+              for k in ("spectral_layers", "spatial_layers")}
+    if any(type(n) is not int for n in layers.values()):
+        return
+    need = param_array_count(SimpleNamespace(**layers))
+    if listed != need:
+        raise DataError(f"{path}: checkpoint lists {listed} parameters, the "
+                        f"config needs {need}")
 
 
 def save_checkpoint(path: str | Path, params: dict[str, np.ndarray],
@@ -59,14 +78,11 @@ def load_checkpoint(path: str | Path
     an object. A config without "ablate" is a full model.
     """
     manifest, payload = _read_pair(path, "checkpoint", params=list)
+    _check_entry_count(path, len(manifest["params"]), manifest.get("config"))
     config = ModelConfig.from_dict(manifest.get("config"))
     extra = manifest.get("extra", {})
     if not isinstance(extra, dict):
         raise DataError(f"{path}: checkpoint extra {extra!r} is not an object")
-    listed, need = len(manifest["params"]), param_array_count(config)
-    if listed != need:      # before param_shapes lists every layer
-        raise DataError(f"{path}: checkpoint lists {listed} parameters, the "
-                        f"config needs {need}")
     layout = _check_layout(path, manifest["params"], config)
     sizes = [math.prod(shape) for _, shape in layout]
     if payload.size != sum(sizes):

@@ -45,27 +45,20 @@ that produced the first non-finite gradient.
 Forward values, unlike gradients, are written in place where a caller asks:
 ``add``, ``scale``, ``relu`` and ``softmax`` take ``inplace=True`` to write
 their result into their first input's array, which no backward of theirs reads
-(``add`` and ``scale`` read shapes, ``relu`` a mask, ``softmax`` its own
-output), so the tape holds one array where it held two. The op raises
+(``add`` and ``scale`` read shapes, ``relu`` and ``softmax`` their own
+outputs), so the tape holds one array where it held two. The op raises
 ``ValueError`` before it writes unless that input is the output of the node
 recorded last, that node is neither a view (``reshape``, ``transpose``,
-``slice_last``, which share their input's array) nor a ``softmax`` (whose
-backward reads its output), and the result keeps the input's shape and dtype.
+``slice_last``, which share their input's array) nor a ``relu`` or
+``softmax`` (whose backward reads its output), and the result keeps the
+input's shape and dtype.
 So a leaf (a parameter, an input) is never overwritten, nor a tensor that
 another recorded op reads; the caller must not read the overwritten tensor
 afterwards.
 
-A shared-weight matmul's backward computes its weight gradient (the
-``_sum_over_rows`` product) on one helper thread while the calling thread
-computes the input gradient; BLAS releases the interpreter lock, so the two
-products run on two cores. The closure waits for the weight gradient before
-it returns, so the reverse pass sees only arrays. Each product runs the same
-arithmetic as on the calling thread, so every gradient has the same bits.
-
-Importing the engine pins glibc's malloc thresholds and its arena count (see
-`_pin_malloc_thresholds`), so that the temporaries of every pass, the helper
-thread's included, are served from a heap the process keeps rather than from
-fresh pages.
+Importing the engine pins glibc's malloc thresholds (see
+`_pin_malloc_thresholds`), so that the temporaries of every pass are served
+from a heap the process keeps rather than from fresh pages.
 """
 
 from __future__ import annotations
@@ -74,7 +67,6 @@ import ctypes
 import math
 import numbers
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -85,20 +77,20 @@ from .errors import NumericalError, check_labels, check_numbers
 Array = np.ndarray
 
 # glibc mallopt parameters
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD, M_ARENA_MAX = -1, -3, -8
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
 MMAP_THRESHOLD = 32 << 20       # glibc's largest on 64-bit
 TRIM_THRESHOLD = 256 << 20
 # a GEMM that sums over a multiple of this many rows gives the same bits at
 # any thread count (measured with OpenBLAS 0.3.31); other counts did not
 ROW_BLOCK = 32
 # ops whose output an in-place op may not overwrite: a view shares its
-# input's array, and softmax's backward reads its own output
-_KEEPS_OUTPUT = frozenset({"reshape", "transpose", "slice_last", "softmax"})
+# input's array, and relu's and softmax's backwards read their own outputs
+_KEEPS_OUTPUT = frozenset({"reshape", "transpose", "slice_last", "relu",
+                           "softmax"})
 
 
 def _pin_malloc_thresholds() -> bool:
-    """Fix glibc's mmap and trim thresholds and use one arena; True if all
-    three were set.
+    """Fix glibc's mmap and trim thresholds; True if both were set.
 
     By default glibc raises both thresholds as it frees large blocks, so
     where a process ends up depends on the order of its earlier allocations.
@@ -110,11 +102,6 @@ def _pin_malloc_thresholds() -> bool:
     but the length of the checkout's path. With both thresholds fixed,
     blocks below 32 MB come from the heap, and the heap is given back only
     when 256 MB of it lie free at its top.
-
-    glibc gives each thread that allocates its own arena, whose free blocks
-    no other thread reuses, so the helper thread's copies would hold pages
-    beside the main heap's; with one arena every thread takes from the main
-    heap.
     """
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION"):
@@ -124,16 +111,10 @@ def _pin_malloc_thresholds() -> bool:
         return False
     # setting either one turns off glibc's adjustment of both
     return bool(mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
-                and mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
-                and mallopt(M_ARENA_MAX, 1))
+                and mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD))
 
 
 _pin_malloc_thresholds()
-
-# the one thread that computes shared weights' gradients; it starts with the
-# first backward that needs one
-_HELPER = ThreadPoolExecutor(max_workers=1,
-                             thread_name_prefix="amdet-weight-grad")
 
 
 class Tensor:
@@ -275,12 +256,9 @@ class Tape:
 
             def backward(g):
                 g = g.reshape(-1, n)
-                # the weight product runs on the helper thread meanwhile
-                gb = _HELPER.submit(_sum_over_rows, rows, g) if b.needs_grad \
-                    else None
                 ga = (g @ b.data.T).reshape(a.data.shape) if a.needs_grad \
                     else None
-                return ga, None if gb is None else gb.result()
+                return ga, _sum_over_rows(rows, g) if b.needs_grad else None
         else:
             out = Tensor(a.data @ b.data, _name("matmul", a, b))
 
@@ -366,12 +344,12 @@ class Tape:
         return self._record("concat_last", out, tuple(parts), backward)
 
     def relu(self, a: Tensor, inplace: bool = False) -> Tensor:
-        target = self._target(a, inplace)
-        mask = a.data > 0
-        out = Tensor(np.maximum(a.data, 0.0, out=target), _name("relu", a))
+        y = np.maximum(a.data, 0.0, out=self._target(a, inplace))
+        out = Tensor(y, _name("relu", a))
 
         def backward(g):
-            return (g * mask,)
+            # y > 0 exactly where a > 0, NaN included
+            return (g * (y > 0),)
 
         return self._record("relu", out, (a,), backward)
 

@@ -11,7 +11,7 @@ import json
 import numbers
 import time
 from dataclasses import dataclass, field, asdict
-from math import gcd, prod
+from math import gcd
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ from .engine import AdamW, OptimizerConfig, Tape
 from .errors import (DataError, NumericalError, build, check_labels,
                      check_numbers)
 from .model import (ModelConfig, forward, forward_flops, init_params,
-                    param_shapes, predict, wrap_params)
+                    param_count, predict, wrap_params)
 
 SPLIT_MODES = ("segment", "trial")
 K_GRID_STRIDE = 4
@@ -268,8 +268,7 @@ def write_report(out_dir: str | Path, report: RunReport) -> None:
 
 def count_params_flops(model_cfg: ModelConfig) -> tuple[int, int]:
     """(exact parameter count, 2 x matmul multiply-adds per forward pass)."""
-    shapes = param_shapes(model_cfg).values()
-    return sum(prod(shape) for shape in shapes), forward_flops(model_cfg)
+    return param_count(model_cfg), forward_flops(model_cfg)
 
 
 def default_k_grid(channels: int) -> list[int]:

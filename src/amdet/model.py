@@ -33,6 +33,11 @@ ABLATABLE_BLOCKS = ("spectral", "spatial", "temporal")
 # samples per forward when not training (predict, Grad-CAM): the default
 # training batch, so inference needs no more memory than a training step
 INFERENCE_BATCH = 16
+# size caps, checked on the config before any array exists; the SEED-shaped
+# model (C=62, 6 frames) has 274,868 parameters and its largest activation,
+# the MLP hidden layer, holds 119,040 values per sample
+MAX_PARAMETERS = 10 ** 7
+MAX_ACTIVATION = 10 ** 7        # values per sample: 40 MB in float32
 
 
 @dataclass(frozen=True)
@@ -67,6 +72,18 @@ class ModelConfig:
             raise DataError(
                 f"model config: 2 x bands={self.feature_dim} not divisible "
                 f"by spatial_heads={self.spatial_heads}")
+
+        def cap(size: int, limit: int, what: str, *fields: str) -> None:
+            if size > limit:
+                named = ", ".join(f"{k}={getattr(self, k)}" for k in fields)
+                raise DataError(f"model config: {what} {size} is over the "
+                                f"cap of {limit} ({named})")
+        cap(param_count(self), MAX_PARAMETERS, "parameter count", "channels",
+            "bands", "classes", "mlp_ratio", "spectral_layers",
+            "spatial_layers")
+        cap(largest_activation(self), MAX_ACTIVATION,
+            "largest activation per sample", "frames", "channels", "bands",
+            "mlp_ratio", "spectral_heads", "spatial_heads")
 
     @property
     def feature_dim(self) -> int:
@@ -116,6 +133,36 @@ def param_array_count(cfg: ModelConfig) -> int:
     """len(param_shapes(cfg)) without listing a layer: 6 arrays outside the
     encoders (two positional maps, two linears) and 16 per encoder layer."""
     return 6 + 16 * (cfg.spectral_layers + cfg.spatial_layers)
+
+
+def param_count(cfg: ModelConfig) -> int:
+    """sum(prod(shape)) over param_shapes(cfg), from arithmetic alone: two
+    positional maps and two linears outside the encoders, and per encoder
+    layer of width d four d x d attention linears, the MLP's d x rd and
+    rd x d linears and two layer norms."""
+    d2f, c, r = (int(n) for n in (cfg.feature_dim, cfg.channels,
+                                  cfg.mlp_ratio))
+    flat = d2f * c
+
+    def encoders(layers: int, d: int) -> int:
+        return int(layers) * (4 * (d * d + d) + 2 * r * d * d + r * d + d
+                              + 4 * d)
+
+    return (2 * flat + (flat + 1) * (1 + int(cfg.classes))
+            + encoders(cfg.spectral_layers, c)
+            + encoders(cfg.spatial_layers, d2f))
+
+
+def largest_activation(cfg: ModelConfig) -> int:
+    """Values per sample in the largest tensor a forward pass makes: an
+    encoder's MLP hidden layer (frames x 2f x C x mlp_ratio in both blocks)
+    or a layer's attention scores over all heads (frames x heads x
+    tokens^2). The logits are never larger: the classifier's weight, which
+    the parameter cap bounds, holds flat_dim values per class."""
+    f, d2f, c = (int(n) for n in (cfg.frames, cfg.feature_dim, cfg.channels))
+    return max(f * d2f * c * int(cfg.mlp_ratio),
+               f * int(cfg.spectral_heads) * d2f * d2f,
+               f * int(cfg.spatial_heads) * c * c)
 
 
 def init_params(cfg: ModelConfig) -> dict[str, np.ndarray]:

@@ -1,8 +1,11 @@
 """CLI: full pipeline end to end on a tiny dataset, plus exit-code contract."""
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -516,3 +519,42 @@ def test_readme_walkthrough_commands_parse():
     assert len(commands) == 7
     for argv in commands:
         assert callable(build_parser().parse_args(argv).run), argv
+
+
+# the CLI in a process whose address space is capped at 2 GiB, so that an
+# allocation the size checks miss fails fast as a MemoryError
+LIMITED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from amdet.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+SMALL_MODEL = ["--set", "model.channels=16", "--set", "model.bands=4",
+               "--set", "model.frames=6", "--set", "model.classes=3"]
+
+
+OVERSIZED = ["model.mlp_ratio=1000000", "model.spectral_layers=100000",
+             "model.channels=100000", "model.bands=100000",
+             "model.classes=1000000000000", "model.frames=1000000000000"]
+
+
+@pytest.mark.parametrize("command, override",
+                         [("count", o) for o in OVERSIZED]
+                         + [("train", "model.mlp_ratio=1000000")])
+def test_oversized_model_is_a_data_error(pipeline, command, override):
+    """Each of these made count end in a MemoryError traceback (exit 1);
+    the model config's size caps refuse them first, naming the field."""
+    import amdet
+
+    out = pipeline / "oversized"
+    argv = (SMALL_MODEL if command == "count" else
+            ["--features", str(pipeline / "feat"), "--out", str(out)])
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(amdet.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-c", LIMITED_CLI, command, *argv,
+                          "--set", override], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.startswith("data error: model config: ")
+    assert override.removeprefix("model.") in run.stderr
+    assert "Traceback" not in run.stderr and not out.exists()

@@ -2,11 +2,7 @@
 plus cross-entropy values and AdamW behavior."""
 
 import math
-import sys
-import threading
-import time
 import tracemalloc
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -374,6 +370,7 @@ def test_inplace_op_matches_out_of_place_bitwise(rng, op, dtype):
 KEPT_OUTPUTS = {"reshape": lambda tape, h: tape.reshape(h, (6, 4)),
                 "transpose": lambda tape, h: tape.transpose(h),
                 "slice_last": lambda tape, h: tape.slice_last(h, 1, 3),
+                "relu": lambda tape, h: tape.relu(h),
                 "softmax": lambda tape, h: tape.softmax(h)}
 
 
@@ -382,8 +379,8 @@ KEPT_OUTPUTS = {"reshape": lambda tape, h: tape.reshape(h, (6, 4)),
 def test_inplace_refusal_leaves_the_input_untouched(rng, case):
     """In place is refused, before anything is written or recorded, on a
     leaf, on a tensor another op was recorded after, on the output of a
-    view (which shares its input's array) or of softmax (whose backward
-    reads it), and where the result would change shape or dtype. Each
+    view (which shares its input's array) or of relu or softmax (whose
+    backward reads it), and where the result would change shape or dtype. Each
     structural case is tried with all four ops."""
     x = Tensor(rng.normal(size=(2, 3, 4)).astype(np.float32), name="x")
     w = Tensor(rng.normal(size=(4, 4)).astype(np.float32), name="w")
@@ -410,9 +407,11 @@ def test_backward_memory_beyond_forward_retention_at_c62():
     """One SEED-shaped training step (C=62, batch 16, MLP width 1984): what
     the forward pass holds stays under 32 MB, and what backward allocates
     beyond it under 24 MB. Keeping every intermediate gradient alive took
-    46.7 MB of backward; freeing each once its node has used it takes
-    16.1 MB. The forward held 67.8 MB while every bias add, ReLU, score
-    scale and softmax kept its own copy; written in place, 28.9 MB."""
+    46.7 MB of backward; freeing each once its node has used it, 16.1 MB.
+    The forward held 67.8 MB while every bias add, ReLU, score scale and
+    softmax kept its own copy; written in place, 28.9 MB. With each ReLU's
+    backward reading its output rather than a mask the forward kept, the
+    forward holds 25.1 MB and backward takes 18.0 MB."""
     from amdet.model import forward, wrap_params
 
     cfg = ModelConfig(channels=62, bands=5, frames=6, classes=3, seed=1)
@@ -464,7 +463,7 @@ def test_shared_weight_matmul_backward_matches_reference(rng, a_shape,
     """The flattened 2-D GEMMs match the stacked products, forward and
     backward; a non-contiguous left operand (a swapaxes view, which the
     flattening has to copy) as well. The closure hands back both gradients
-    as arrays, the helper thread's included."""
+    as arrays."""
     a_data = rng.normal(size=a_shape)
     if swapped:
         a_data = np.swapaxes(np.swapaxes(a_data, -2, -3).copy(), -2, -3)
@@ -483,145 +482,71 @@ def test_shared_weight_matmul_backward_matches_reference(rng, a_shape,
     assert rel_err(gb, ref_gb) < 1e-12
 
 
-# ------------------------------------------ weight gradients on the helper
-
-HELPER = engine._HELPER
+# ------------------------------------- weight gradients that accumulate
 
 
-class SerialHelper:
-    """Computes each weight gradient at once, on the calling thread, and
-    hands it back as a completed Future: the reverse pass without a helper
-    thread."""
-
-    def submit(self, fn, *args):
-        done = Future()
-        done.set_result(fn(*args))
-        return done
-
-
-class LateHelper:
-    """The helper thread, starting each product late, so that it is still
-    running when the calling thread has its input gradient."""
-
-    def submit(self, fn, *args):
-        def late():
-            time.sleep(0.002)
-            return fn(*args)
-        return HELPER.submit(late)
-
-
-def leaf_grads(build, arrays, helper, monkeypatch):
-    """Leaf gradients of sum_all(build(tape, *leaves)) with helper in place
-    of the engine's helper thread."""
-    monkeypatch.setattr(engine, "_HELPER", helper)
-    leaves = [Tensor(a, name=f"in{i}") for i, a in enumerate(arrays)]
+def leaf_grads(build, leaves):
+    """Gradients of sum_all(build(tape, *leaves)) for every leaf."""
     tape = Tape()
     tape.backward(tape.sum_all(build(tape, *leaves)))
     assert all(node.out.grad is None for node in tape.nodes)
     return [t.grad for t in leaves]
 
 
-def two_products(t, x1, x2, w):
-    return t.add(t.matmul(x1, w), t.matmul(x2, w))
+# each graph takes its inputs, then its weight once per use
+def two_products(t, x1, x2, w1, w2):
+    return t.add(t.matmul(x1, w1), t.matmul(x2, w2))
 
 
-def product_then_add(t, x, w):            # helper's first, then a plain one
-    return t.matmul(t.add(x, w), w)
+def product_then_add(t, x, w1, w2):       # weight product first, then add
+    return t.matmul(t.add(x, w1), w2)
 
 
-def add_product_add(t, x, w):             # plain, helper's, plain
-    return t.add(t.matmul(t.add(x, w), w), w)
+def add_product_add(t, x, w1, w2, w3):    # plain, weight product, plain
+    return t.add(t.matmul(t.add(x, w1), w2), w3)
 
 
-def produced_weight(t, x, w):             # the transpose's output is 2-D
-    return t.relu(t.matmul(x, t.transpose(t.scale(w, 0.5))))
+def produced_weight(t, x, w1, w2):        # the transpose's output is 2-D
+    return t.relu(t.matmul(t.matmul(x, t.transpose(t.scale(w1, 0.5))), w2))
 
 
-@pytest.mark.parametrize("build, shapes", [
-    (two_products, [(2, 3, 4), (1, 3, 4), (4, 4)]),
-    (product_then_add, [(2, 4, 4), (4, 4)]),
-    (add_product_add, [(2, 4, 4), (4, 4)]),
-    (produced_weight, [(2, 3, 4), (5, 4)]),
+@pytest.mark.parametrize("build, shapes, uses", [
+    (two_products, [(2, 3, 4), (1, 3, 4), (4, 4)], 2),
+    (product_then_add, [(2, 4, 4), (4, 4)], 2),
+    (add_product_add, [(2, 4, 4), (4, 4)], 3),
+    (produced_weight, [(2, 3, 4), (4, 4)], 2),
 ], ids=["shared_by_two_matmuls", "pending_then_add", "add_pending_add",
         "produced_by_an_op"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_pending_weight_gradients_match_serial_bitwise(rng, monkeypatch,
-                                                       build, shapes, dtype):
-    """Leaf gradients with the helper thread, also when it lags, have the
-    bits of the serial pass: a weight shared by two matmuls, a weight that
-    also feeds an add (both orders), and a weight an op produced."""
-    arrays = [rng.normal(size=s).astype(dtype) for s in shapes]
-    serial = leaf_grads(build, arrays, SerialHelper(), monkeypatch)
-    for helper in (HELPER, LateHelper()):
-        got = leaf_grads(build, arrays, helper, monkeypatch)
-        for a, b in zip(got, serial):
-            assert type(a) is np.ndarray and a.dtype == dtype
-            np.testing.assert_array_equal(a, b)
-
-
-def test_model_step_gradients_match_serial_bitwise(monkeypatch):
-    """Every parameter gradient of a C=16 training step, float32, with the
-    interpreter switching threads as often as it can."""
-    from amdet.model import forward, wrap_params
-
-    cfg = ModelConfig(channels=16, bands=5, frames=6, classes=3, seed=2)
-    params = init_params(cfg)
-    rng = np.random.default_rng(1)
-    x = rng.normal(size=(9, 6, 10, 16)).astype(np.float32)
-    y = rng.integers(0, 3, 9)
-
-    def grads(helper):
-        monkeypatch.setattr(engine, "_HELPER", helper)
-        p, tape = wrap_params(params), Tape()
-        tape.backward(tape.cross_entropy(forward(tape, p, cfg, x)[0], y))
-        return {k: t.grad for k, t in p.items()}
-
-    serial = grads(SerialHelper())
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded = [grads(HELPER) for _ in range(3)]
-    finally:
-        sys.setswitchinterval(interval)
-    for run in threaded:
-        for k in serial:
-            np.testing.assert_array_equal(run[k], serial[k], err_msg=k)
-
-
-def test_weight_product_runs_on_the_helper_thread(rng, monkeypatch):
-    """The weight product of a shared-weight matmul runs on the helper
-    thread, not on the thread that runs the reverse pass."""
-    product, threads = engine._sum_over_rows, []
-
-    def recorded(a, b):
-        threads.append(threading.current_thread())
-        return product(a, b)
-
-    monkeypatch.setattr(engine, "_sum_over_rows", recorded)
-    wt, tape = Tensor(rng.normal(size=(4, 5))), Tape()
-    tape.backward(tape.sum_all(tape.matmul(Tensor(rng.normal(size=(2, 3, 4))),
-                                           wt)))
-    assert wt.grad.shape == (4, 5) and len(threads) == 1
-    assert threads[0] is not threading.current_thread()
-    assert threads[0].name.startswith("amdet-weight-grad")
+def test_pending_weight_gradients_match_serial_bitwise(rng, build, shapes,
+                                                       uses, dtype):
+    """A weight's gradient is the sum of its uses' gradients, added in the
+    reverse pass's order (last use first), bit for bit: a weight shared by
+    two matmuls, a weight that also feeds an add (both orders), and a weight
+    an op produced. The reference gives each use its own copy."""
+    *xs, w = [rng.normal(size=s).astype(dtype) for s in shapes]
+    shared = Tensor(w, name="w")
+    got = leaf_grads(build, [Tensor(x) for x in xs] + [shared] * uses)
+    copies = leaf_grads(build, [Tensor(x) for x in xs]
+                        + [Tensor(w.copy()) for _ in range(uses)])
+    want = copies[-1]
+    for g in reversed(copies[len(xs):-1]):
+        want = want + g
+    for a, b in zip(got[:len(xs)] + [shared.grad], copies[:len(xs)] + [want]):
+        assert type(a) is np.ndarray and a.dtype == dtype
+        np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_nonfinite_weight_product_is_named_by_the_replay(rng, monkeypatch):
-    """An inf in the weight product, computed on the helper thread, is
-    still reported as the matmul's gradient for the weight."""
+def test_nonfinite_weight_product_is_named_by_the_replay(rng):
+    """An inf in the weight product is reported as the matmul's gradient
+    for the weight."""
     x = rng.normal(size=(2, 3, 4))
     x[1, 2, 3] = np.inf          # every output in its row is +inf
     w = np.abs(rng.normal(size=(4, 5))) + 0.1
-    messages = []
-    for helper in (SerialHelper(), HELPER, LateHelper()):
-        monkeypatch.setattr(engine, "_HELPER", helper)
-        xt, wt, tape = Tensor(x, name="x"), Tensor(w, name="w"), Tape()
-        with pytest.raises(NumericalError,
-                           match="op 'matmul' for input 'w'") as err:
-            tape.backward(tape.sum_all(tape.matmul(xt, wt)))
-        messages.append(str(err.value))
-    assert len(set(messages)) == 1
+    xt, wt, tape = Tensor(x, name="x"), Tensor(w, name="w"), Tape()
+    with pytest.raises(NumericalError, match="op 'matmul' for input 'w'"):
+        tape.backward(tape.sum_all(tape.matmul(xt, wt)))
 
 
 @pytest.mark.parametrize("grad_shape,shape", [

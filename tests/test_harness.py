@@ -2,6 +2,7 @@
 
 import json
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -411,3 +412,14 @@ def test_fit_hands_forward_batches_already_in_float32(monkeypatch, rng):
     _, losses = fit(x, y, cfg, opt, 2, shuffle_seed=0)
     assert batch_dtypes == [np.dtype(np.float32)] * 6
     assert losses == f32_losses
+
+
+def test_fit_leaves_no_package_thread_running(rng):
+    """Training runs on the calling thread: after a fit, no thread whose
+    name starts with the package's is alive."""
+    cfg = ModelConfig(channels=4, bands=2, frames=6, classes=2, seed=0,
+                      mlp_ratio=4)
+    fit(rng.normal(size=(8, 6, 4, 4)), np.arange(8) % 2, cfg,
+        OptimizerConfig(batch_size=8), epochs=1, shuffle_seed=0)
+    assert [t.name for t in threading.enumerate()
+            if t.name.startswith("amdet")] == []

@@ -10,10 +10,11 @@ from conftest import params64
 from amdet.attribution import rank_channels
 from amdet.engine import Tape, Tensor
 from amdet.errors import DataError, NumericalError
+from amdet import model
 from amdet.model import (ABLATABLE_BLOCKS, ModelConfig, classify,
                          encoder_layer, forward, init_params, mha,
-                         param_array_count, param_shapes, spatial_block,
-                         spectral_block,
+                         largest_activation, param_array_count, param_count,
+                         param_shapes, spatial_block, spectral_block,
                          temporal_block, wrap_params)
 from amdet.model import _rng_for
 
@@ -453,10 +454,14 @@ LAYOUT_CFGS = [
     replace(SEED_CFG, seed=7),
     ModelConfig(channels=4, bands=2, frames=6, classes=2, seed=3,
                 mlp_ratio=4, spectral_layers=2, spatial_layers=3),
+    ModelConfig(channels=6, bands=3, frames=4, classes=5, seed=1,
+                mlp_ratio=1, spectral_heads=3, spatial_heads=1,
+                spatial_layers=2),
 ]
+LAYOUT_IDS = ["c16", "c62", "layers", "odd"]
 
 
-@pytest.mark.parametrize("cfg", LAYOUT_CFGS, ids=["c16", "c62", "layers"])
+@pytest.mark.parametrize("cfg", LAYOUT_CFGS, ids=LAYOUT_IDS)
 def test_init_params_matches_reference_bitwise(cfg):
     got, want = init_params(cfg), init_params_reference(cfg)
     assert sorted(got) == sorted(want)
@@ -466,11 +471,12 @@ def test_init_params_matches_reference_bitwise(cfg):
         assert got[name].tobytes() == want[name].tobytes(), name
 
 
-@pytest.mark.parametrize("cfg", LAYOUT_CFGS, ids=["c16", "c62", "layers"])
+@pytest.mark.parametrize("cfg", LAYOUT_CFGS, ids=LAYOUT_IDS)
 def test_param_shapes_is_sorted_and_is_the_init_layout(cfg):
     shapes = param_shapes(cfg)
     assert list(shapes) == sorted(shapes)
     assert len(shapes) == param_array_count(cfg)
+    assert param_count(cfg) == sum(math.prod(s) for s in shapes.values())
     params = init_params(cfg)
     assert list(params) == list(shapes)
     assert {k: v.shape for k, v in params.items()} == shapes
@@ -500,3 +506,29 @@ def test_config_validation():
         with pytest.raises(DataError, match="spatial_heads"):
             ModelConfig(channels=4, bands=2, frames=6, classes=2,
                         spatial_heads=heads)
+
+
+def test_size_caps_refuse_a_config_that_is_too_large(monkeypatch):
+    """The parameter count and the largest activation per sample come from
+    the config's fields alone; a config over either cap is a DataError that
+    names the fields, at the cap it passes."""
+    seed_shape = ModelConfig(channels=62, bands=5, frames=6, classes=3)
+    assert param_count(seed_shape) == 274868 < model.MAX_PARAMETERS
+    assert largest_activation(seed_shape) == 6 * 10 * 62 * 32 \
+        < model.MAX_ACTIVATION
+    for cap, size in (("MAX_PARAMETERS", param_count(seed_shape)),
+                      ("MAX_ACTIVATION", largest_activation(seed_shape))):
+        monkeypatch.setattr(model, cap, size)
+        ModelConfig(channels=62, bands=5, frames=6, classes=3)
+        monkeypatch.setattr(model, cap, size - 1)
+        with pytest.raises(DataError, match=rf"{size} is over the cap of "
+                                            rf"{size - 1} \(.*mlp_ratio=32"):
+            ModelConfig(channels=62, bands=5, frames=6, classes=3)
+        monkeypatch.undo()
+    with pytest.raises(DataError, match="parameter count .*"
+                                        "spectral_layers=1000000000000"):
+        ModelConfig(channels=4, bands=2, frames=6, classes=2,
+                    spectral_layers=10 ** 12)
+    with pytest.raises(DataError, match="activation per sample .*"
+                                        "frames=1000000000000"):
+        ModelConfig(channels=4, bands=2, frames=10 ** 12, classes=2)
