@@ -17,13 +17,12 @@ from __future__ import annotations
 import math
 from itertools import zip_longest
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
 from .data import _read_pair, _write_pair
 from .errors import DataError
-from .model import ModelConfig, param_array_count, param_shapes
+from .model import ModelConfig, param_shapes
 
 
 def _check_layout(path, index: list, config: ModelConfig) -> list[list]:
@@ -37,24 +36,6 @@ def _check_layout(path, index: list, config: ModelConfig) -> list[list]:
         raise DataError(f"{path}: checkpoint parameter {mismatch[0]!r} where "
                         f"the config needs {mismatch[1]!r}")
     return want
-
-
-def _check_entry_count(path, listed: int, config) -> None:
-    """Refuse a manifest whose entry count differs from what its config's
-    layer counts need. It reads them from the JSON before ModelConfig is
-    built, so a file whose layer counts were raised past the model's size
-    caps is refused for the listing they contradict, and param_shapes never
-    lists them; layer counts that are not integers are left to ModelConfig."""
-    if not isinstance(config, dict):
-        return
-    layers = {k: config.get(k, getattr(ModelConfig, k))
-              for k in ("spectral_layers", "spatial_layers")}
-    if any(type(n) is not int for n in layers.values()):
-        return
-    need = param_array_count(SimpleNamespace(**layers))
-    if listed != need:
-        raise DataError(f"{path}: checkpoint lists {listed} parameters, the "
-                        f"config needs {need}")
 
 
 def save_checkpoint(path: str | Path, params: dict[str, np.ndarray],
@@ -73,12 +54,12 @@ def load_checkpoint(path: str | Path
     """Returns (params as float32 views of one array, exactly as stored,
     config, extra manifest fields).
 
-    The params list must be `param_shapes(config)` (counted first), the
+    The config must pass ModelConfig's caps, the layer cap before any layer
+    is listed; then the params list must be `param_shapes(config)`, the
     payload must hold exactly their values, and extra (if present) must be
     an object. A config without "ablate" is a full model.
     """
     manifest, payload = _read_pair(path, "checkpoint", params=list)
-    _check_entry_count(path, len(manifest["params"]), manifest.get("config"))
     config = ModelConfig.from_dict(manifest.get("config"))
     extra = manifest.get("extra", {})
     if not isinstance(extra, dict):

@@ -20,6 +20,7 @@ import sys
 from . import attribution, data, features as feat, harness
 from .checkpoint import load_checkpoint
 from .errors import DataError, NumericalError, UsageError, build
+from .model import forward_flops, param_count
 
 
 class _Parser(argparse.ArgumentParser):
@@ -241,10 +242,9 @@ def cmd_count(args) -> int:
     exp = harness.ExperimentConfig.from_dict(_load_config(args))
     fs = data.read_features(args.features) if args.features else None
     model_cfg = exp.model_config(fs)
-    n_params, flops = harness.count_params_flops(model_cfg)
     print(json.dumps({
-        "params": n_params,
-        "flops_per_forward": flops,
+        "params": param_count(model_cfg),
+        "flops_per_forward": forward_flops(model_cfg),
         "mlp_ratio": model_cfg.mlp_ratio,
         "config": model_cfg.to_dict(),
     }, indent=1))

@@ -231,7 +231,6 @@ def train(config: ExperimentConfig, features: FeatureSet) -> RunReport:
         if out_dir is not None:
             save_checkpoint(out_dir / f"fold{fold}.amdw", params, model_cfg,
                             extra={"fold": fold, "accuracy": acc})
-    n_params, flops = count_params_flops(model_cfg0)
     report = RunReport(
         fold_accuracies=fold_accs,
         mean_accuracy=float(np.mean(fold_accs)),
@@ -240,8 +239,8 @@ def train(config: ExperimentConfig, features: FeatureSet) -> RunReport:
         macro_f1=_macro_f1(confusion),
         loss_curves=curves,
         wall_time_s=time.perf_counter() - started,
-        n_params=n_params,
-        flops_per_forward=flops,
+        n_params=param_count(model_cfg0),
+        flops_per_forward=forward_flops(model_cfg0),
         split_mode=config.split_mode,
         folds=config.folds,
         epochs=config.epochs,
@@ -264,11 +263,6 @@ def write_report(out_dir: str | Path, report: RunReport) -> None:
     replace_files(
         (out / "report.json", json.dumps(report.to_dict(), indent=1)),
         (out / "loss.csv", csv_text([["fold", "epoch", "loss"], *losses])))
-
-
-def count_params_flops(model_cfg: ModelConfig) -> tuple[int, int]:
-    """(exact parameter count, 2 x matmul multiply-adds per forward pass)."""
-    return param_count(model_cfg), forward_flops(model_cfg)
 
 
 def default_k_grid(channels: int) -> list[int]:

@@ -34,8 +34,9 @@ ABLATABLE_BLOCKS = ("spectral", "spatial", "temporal")
 # training batch, so inference needs no more memory than a training step
 INFERENCE_BATCH = 16
 # size caps, checked on the config before any array exists; the SEED-shaped
-# model (C=62, 6 frames) has 274,868 parameters and its largest activation,
-# the MLP hidden layer, holds 119,040 values per sample
+# model (C=62, 6 frames) has one layer per block, 274,868 parameters, and its
+# largest activation, the MLP hidden layer, holds 119,040 values per sample
+MAX_LAYERS = 64                 # encoder layers per block
 MAX_PARAMETERS = 10 ** 7
 MAX_ACTIVATION = 10 ** 7        # values per sample: 40 MB in float32
 
@@ -78,6 +79,9 @@ class ModelConfig:
                 named = ", ".join(f"{k}={getattr(self, k)}" for k in fields)
                 raise DataError(f"model config: {what} {size} is over the "
                                 f"cap of {limit} ({named})")
+        # the layer cap comes first: param_count lists every layer
+        cap(max(self.spectral_layers, self.spatial_layers), MAX_LAYERS,
+            "layer count", "spectral_layers", "spatial_layers")
         cap(param_count(self), MAX_PARAMETERS, "parameter count", "channels",
             "bands", "classes", "mlp_ratio", "spectral_layers",
             "spatial_layers")
@@ -110,7 +114,8 @@ def _rng_for(seed: int, name: str) -> np.random.Generator:
 
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Every parameter's name and shape, sorted by name: the one layout that
-    init_params, AdamW's flat buffer and checkpoints share."""
+    param_count, init_params, AdamW's flat buffer and checkpoints share. It
+    loops over every encoder layer; ModelConfig caps their count first."""
     d2f, c = cfg.feature_dim, cfg.channels
     shapes = {"spectral.pos": (d2f, c), "spatial.pos": (c, d2f)}
     linears = [("temporal.score", cfg.flat_dim, 1),
@@ -129,28 +134,11 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     return dict(sorted(shapes.items()))
 
 
-def param_array_count(cfg: ModelConfig) -> int:
-    """len(param_shapes(cfg)) without listing a layer: 6 arrays outside the
-    encoders (two positional maps, two linears) and 16 per encoder layer."""
-    return 6 + 16 * (cfg.spectral_layers + cfg.spatial_layers)
-
-
 def param_count(cfg: ModelConfig) -> int:
-    """sum(prod(shape)) over param_shapes(cfg), from arithmetic alone: two
-    positional maps and two linears outside the encoders, and per encoder
-    layer of width d four d x d attention linears, the MLP's d x rd and
-    rd x d linears and two layer norms."""
-    d2f, c, r = (int(n) for n in (cfg.feature_dim, cfg.channels,
-                                  cfg.mlp_ratio))
-    flat = d2f * c
-
-    def encoders(layers: int, d: int) -> int:
-        return int(layers) * (4 * (d * d + d) + 2 * r * d * d + r * d + d
-                              + 4 * d)
-
-    return (2 * flat + (flat + 1) * (1 + int(cfg.classes))
-            + encoders(cfg.spectral_layers, c)
-            + encoders(cfg.spatial_layers, d2f))
+    """sum(prod(shape)) over param_shapes(cfg), in Python ints so that
+    numpy-integer fields cannot wrap the count under its cap."""
+    return sum(math.prod(map(int, shape))
+               for shape in param_shapes(cfg).values())
 
 
 def largest_activation(cfg: ModelConfig) -> int:

@@ -17,8 +17,9 @@ from amdet.data import FeatureSet, default_synth_spec, synth_generate
 from amdet.engine import OptimizerConfig, Tape
 from amdet.features import (BandSpec, DEAP_BANDS, band_component, de,
                             extract_features, psd, zscore)
-from amdet.harness import ExperimentConfig, count_params_flops, fit, train
-from amdet.model import (ModelConfig, forward, init_params, wrap_params)
+from amdet.harness import ExperimentConfig, fit, train
+from amdet.model import (ModelConfig, forward, forward_flops, init_params,
+                         param_count, wrap_params)
 
 from conftest import params64
 from test_gradcheck import TOY as GRAD_TOY, max_rel_error_per_tensor
@@ -293,7 +294,7 @@ def test_criterion_7_attribution_recovery():
 
 def test_criterion_8_parameter_accounting():
     seed_cfg = ModelConfig(channels=62, bands=5, frames=6, classes=3)
-    n62, f62 = count_params_flops(seed_cfg)
+    n62, f62 = param_count(seed_cfg), forward_flops(seed_cfg)
     enumerated = sum(v.size for v in init_params(seed_cfg).values())
     exact_ok = n62 == enumerated
 
@@ -302,7 +303,7 @@ def test_criterion_8_parameter_accounting():
     factor_ok = factor < 3.0
 
     small_cfg = ModelConfig(channels=8, bands=5, frames=6, classes=3)
-    n8, f8 = count_params_flops(small_cfg)
+    n8, f8 = param_count(small_cfg), forward_flops(small_cfg)
     shrink_ok = n8 < n62 and f8 < f62
 
     ok = exact_ok and factor_ok and shrink_ok

@@ -1,6 +1,7 @@
 """Checkpoint pairs: byte-exact round trips and manifest validation."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -244,8 +245,8 @@ def test_malformed_checkpoint_eval_exits_2(case, tmp_path, eval_features,
 
 def test_checkpoint_with_a_billion_layers_is_refused_before_listing_them(
         tmp_path, eval_features, monkeypatch, capsys):
-    """The manifest's entry count is compared with the config's before
-    param_shapes would enumerate 10**9 layers."""
+    """The model config's layer cap refuses 10**9 layers before
+    param_shapes would enumerate them."""
     path = tmp_path / "m.amdw"
     save_checkpoint(path, init_params(CFG), CFG)
     _edit_header(path, lambda h: h["config"].update(spectral_layers=10 ** 9))
@@ -253,10 +254,10 @@ def test_checkpoint_with_a_billion_layers_is_refused_before_listing_them(
     def listing(config):
         raise AssertionError("param_shapes ran")
     monkeypatch.setattr(checkpoint, "param_shapes", listing)
-    with pytest.raises(DataError, match="lists 38 parameters, the config "
-                                        "needs 16000000022"):
+    refusal = ("model config: layer count 1000000000 is over the cap of 64 "
+               "(spectral_layers=1000000000, spatial_layers=1)")
+    with pytest.raises(DataError, match=re.escape(refusal)):
         load_checkpoint(path)
     assert main(["eval", "--checkpoint", str(path),
                  "--features", str(eval_features)]) == 2
-    assert capsys.readouterr().err.startswith(f"data error: {path}: "
-                                              "checkpoint lists 38")
+    assert capsys.readouterr().err == f"data error: {refusal}\n"

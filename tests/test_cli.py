@@ -536,19 +536,29 @@ SMALL_MODEL = ["--set", "model.channels=16", "--set", "model.bands=4",
 OVERSIZED = ["model.mlp_ratio=1000000", "model.spectral_layers=100000",
              "model.channels=100000", "model.bands=100000",
              "model.classes=1000000000000", "model.frames=1000000000000"]
+# 100,000 layers of width 2 hold 4.4M parameters, under the parameter cap;
+# count then ran every layer's forward into a MemoryError after 33 s
+NARROW_MODEL = [word for field in ("channels=2", "bands=1", "frames=1",
+                                   "classes=2", "mlp_ratio=1",
+                                   "spectral_heads=1", "spatial_heads=1")
+                for word in ("--set", f"model.{field}")]
 
 
-@pytest.mark.parametrize("command, override",
-                         [("count", o) for o in OVERSIZED]
-                         + [("train", "model.mlp_ratio=1000000")])
-def test_oversized_model_is_a_data_error(pipeline, command, override):
+@pytest.mark.parametrize("command, widths, override", [
+    *(pytest.param("count", SMALL_MODEL, o, id=f"count-{o}")
+      for o in OVERSIZED),
+    pytest.param("count", NARROW_MODEL, "model.spectral_layers=100000",
+                 id="count-narrow-model.spectral_layers=100000"),
+    pytest.param("train", None, "model.mlp_ratio=1000000",
+                 id="train-model.mlp_ratio=1000000")])
+def test_oversized_model_is_a_data_error(pipeline, command, widths,
+                                         override):
     """Each of these made count end in a MemoryError traceback (exit 1);
     the model config's size caps refuse them first, naming the field."""
     import amdet
 
     out = pipeline / "oversized"
-    argv = (SMALL_MODEL if command == "count" else
-            ["--features", str(pipeline / "feat"), "--out", str(out)])
+    argv = widths or ["--features", str(pipeline / "feat"), "--out", str(out)]
     env = {**os.environ,
            "PYTHONPATH": str(Path(amdet.__file__).resolve().parents[1])}
     run = subprocess.run([sys.executable, "-c", LIMITED_CLI, command, *argv,

@@ -13,11 +13,11 @@ from amdet.data import (FeatureSet, SynthSpec, default_synth_spec,
 from amdet.engine import OptimizerConfig
 from amdet.errors import DataError, NumericalError
 from amdet import harness
-from amdet.harness import (ExperimentConfig, count_params_flops,
-                           default_k_grid, evaluate, fit, kfold_split,
-                           reduce_channels_sweep, train)
+from amdet.harness import (ExperimentConfig, default_k_grid, evaluate, fit,
+                           kfold_split, reduce_channels_sweep, train)
 from amdet.features import DEAP_BANDS, extract_features
-from amdet.model import ModelConfig, init_params, predict
+from amdet.model import (ModelConfig, forward_flops, init_params,
+                         param_count, predict)
 
 
 def dummy_metas(n_trials, per_trial):
@@ -247,7 +247,7 @@ def test_unknown_ablate_in_config_rejected_before_training(monkeypatch):
 def test_count_toy_hand_arithmetic():
     cfg = ModelConfig(channels=4, bands=2, frames=6, classes=2, seed=0,
                       mlp_ratio=4)
-    n_params, flops = count_params_flops(cfg)
+    n_params, flops = param_count(cfg), forward_flops(cfg)
     d_spec, d_spat, flat = 4, 4, 16
     def encoder(d, hidden):
         attn = 4 * (d * d + d)
@@ -278,11 +278,10 @@ def test_count_param_scaling_with_channels():
 
 
 def test_count_decreases_with_channels():
-    p62, f62 = count_params_flops(
-        ModelConfig(channels=62, bands=5, frames=6, classes=3))
-    p8, f8 = count_params_flops(
-        ModelConfig(channels=8, bands=5, frames=6, classes=3))
-    assert p8 < p62 and f8 < f62
+    c62 = ModelConfig(channels=62, bands=5, frames=6, classes=3)
+    c8 = ModelConfig(channels=8, bands=5, frames=6, classes=3)
+    assert param_count(c8) < param_count(c62)
+    assert forward_flops(c8) < forward_flops(c62)
 
 
 # ------------------------------------------------------------------ sweep

@@ -13,7 +13,7 @@ from amdet.errors import DataError, NumericalError
 from amdet import model
 from amdet.model import (ABLATABLE_BLOCKS, ModelConfig, classify,
                          encoder_layer, forward, init_params, mha,
-                         largest_activation, param_array_count, param_count,
+                         largest_activation, param_count,
                          param_shapes, spatial_block, spectral_block,
                          temporal_block, wrap_params)
 from amdet.model import _rng_for
@@ -475,7 +475,6 @@ def test_init_params_matches_reference_bitwise(cfg):
 def test_param_shapes_is_sorted_and_is_the_init_layout(cfg):
     shapes = param_shapes(cfg)
     assert list(shapes) == sorted(shapes)
-    assert len(shapes) == param_array_count(cfg)
     assert param_count(cfg) == sum(math.prod(s) for s in shapes.values())
     params = init_params(cfg)
     assert list(params) == list(shapes)
@@ -509,9 +508,9 @@ def test_config_validation():
 
 
 def test_size_caps_refuse_a_config_that_is_too_large(monkeypatch):
-    """The parameter count and the largest activation per sample come from
-    the config's fields alone; a config over either cap is a DataError that
-    names the fields, at the cap it passes."""
+    """The layer counts, the parameter count and the largest activation per
+    sample come from the config's fields alone; a config over any cap is a
+    DataError that names the fields, at the cap it passes."""
     seed_shape = ModelConfig(channels=62, bands=5, frames=6, classes=3)
     assert param_count(seed_shape) == 274868 < model.MAX_PARAMETERS
     assert largest_activation(seed_shape) == 6 * 10 * 62 * 32 \
@@ -525,10 +524,22 @@ def test_size_caps_refuse_a_config_that_is_too_large(monkeypatch):
                                             rf"{size - 1} \(.*mlp_ratio=32"):
             ModelConfig(channels=62, bands=5, frames=6, classes=3)
         monkeypatch.undo()
-    with pytest.raises(DataError, match="parameter count .*"
+    for field in ("spectral_layers", "spatial_layers"):
+        ModelConfig(channels=4, bands=2, frames=6, classes=2,
+                    **{field: model.MAX_LAYERS})
+        with pytest.raises(DataError, match=r"layer count 65 is over the cap "
+                                            r"of 64 \(spectral_layers=\d+, "
+                                            r"spatial_layers=\d+\)"):
+            ModelConfig(channels=4, bands=2, frames=6, classes=2,
+                        **{field: 65})
+    with pytest.raises(DataError, match="layer count .*"
                                         "spectral_layers=1000000000000"):
         ModelConfig(channels=4, bands=2, frames=6, classes=2,
                     spectral_layers=10 ** 12)
     with pytest.raises(DataError, match="activation per sample .*"
                                         "frames=1000000000000"):
         ModelConfig(channels=4, bands=2, frames=10 ** 12, classes=2)
+    # 16 x classes wraps to -2**63 + 16 in int64: the count must not
+    with pytest.raises(DataError, match="parameter count .*classes="):
+        ModelConfig(channels=4, bands=2, frames=6,
+                    classes=np.int64(2 ** 59 + 1))
