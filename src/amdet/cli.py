@@ -7,7 +7,8 @@ parsed as JSON when possible, else kept as strings); an ablation is a train
 run with --set 'model.ablate="<block>"'. eval and attribute take everything
 from the checkpoint, so they have no config options.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure; a
+stdout whose reader has gone away ends the process by SIGPIPE, as in cat.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import numbers
+import signal
 import sys
 
 from . import attribution, data, features as feat, harness
@@ -227,10 +229,6 @@ def cmd_reduce_channels(args) -> int:
     ks = args.ks or harness.default_k_grid(fs.values.shape[-1])
     _check_ks(ks, fs.values.shape[-1])
     ranking = attribution.read_ranking_csv(args.scores)
-    if len(ranking) != fs.values.shape[-1]:
-        raise DataError(
-            f"ranking covers {len(ranking)} channels, features have "
-            f"{fs.values.shape[-1]}")
     rows = harness.reduce_channels_sweep(config, fs, ranking, ks)
     for row in rows:
         print(f"k={row['k']:>3d}  accuracy {row['mean']:.4f} "
@@ -267,6 +265,7 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -405,11 +405,6 @@ class FeatureSet:
     def n_classes(self) -> int:
         return int(self.labels.max()) + 1 if self.labels.size else 0
 
-    def samples(self) -> list[SampleTensor]:
-        return [SampleTensor(self.values[i], int(self.labels[i]),
-                             dict(self.metas[i]))
-                for i in range(self.n_samples)]
-
 
 def write_features(path: str | Path, samples: list[SampleTensor],
                    bands: list[BandSpec] | tuple[BandSpec, ...],

@@ -195,14 +195,10 @@ def mha(tape: Tape, p: dict[str, Tensor], prefix: str, x: Tensor,
         heads: int) -> tuple[Tensor, list[Tensor]]:
     """Multi-head scaled dot-product self-attention over the token axis.
 
-    x is (..., n_tokens, d) with d divisible by heads. Returns the projected
-    output and the per-head attention matrices.
+    x is (..., n_tokens, d); ModelConfig makes d divisible by heads. Returns
+    the projected output and the per-head attention matrices.
     """
     d = x.data.shape[-1]
-    if d % heads != 0:
-        raise DataError(f"token dim {d} not divisible by {heads} heads")
-    if not np.all(np.isfinite(x.data)):
-        raise NumericalError("non-finite attention input")
     q, k, v = (_shared_linear(tape, p, f"{prefix}.attn.{proj}", x)
                for proj in ("wq", "wk", "wv"))
     dk = d // heads
@@ -308,7 +304,8 @@ def forward(tape: Tape, p: dict[str, Tensor], cfg: ModelConfig,
 
     The pass computes in the parameters' dtype: float32 for `init_params`
     and loaded checkpoints, float64 when a check passes float64 parameters.
-    The input is cast to that dtype.
+    The input is cast to that dtype. Finite values go in and finite logits
+    come out: a non-finite input or logit is a NumericalError.
 
     cfg.ablate drops one block for ablation runs, with the parameters kept:
     "spectral" bypasses the spectral encoder and its positional map,
@@ -324,6 +321,8 @@ def forward(tape: Tape, p: dict[str, Tensor], cfg: ModelConfig,
     spatial_out = z
     pooled, weights = temporal_block(tape, p, cfg, z)
     logits = classify(tape, p, pooled)
+    if not np.all(np.isfinite(logits.data)):
+        raise NumericalError("non-finite logits")
     aux = {
         "input": inp,
         "spatial_out": spatial_out,

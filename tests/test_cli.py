@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -507,6 +508,44 @@ def test_reduce_channels_k_above_channel_count_fails_before_training(
                  "--ks", "8,99"]) == 2
     assert "k=99 out of range 1..8" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_reduce_channels_short_ranking_fails_before_training(
+        pipeline, monkeypatch, capsys):
+    """A scores file ranking 7 of the features' 8 channels is not a
+    permutation of them; select_channels refuses it before any fold fits."""
+    monkeypatch.setattr("amdet.harness.fit", _never)
+    scores = pipeline / "scores_short.csv"
+    scores.write_text("channel_name,score,rank\n" + "".join(
+        f"ch{c:02d},{8 - c},{c}\n" for c in range(7)))
+    out = pipeline / "sweep_short"
+    assert main(["reduce-channels", "--features", str(pipeline / "feat"),
+                 "--scores", str(scores), "--out", str(out),
+                 "--ks", "4"]) == 2
+    assert "ranking must be a permutation of all channel indices" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_closed_stdout_ends_count_by_sigpipe():
+    """A reader that went away is no data error: count dies of SIGPIPE, as
+    cat or head do, and prints nothing."""
+    import amdet
+
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(amdet.__file__).resolve().parents[1])}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "amdet.cli", "count",
+             "--set", "model.channels=62", "--set", "model.bands=5",
+             "--set", "model.frames=6", "--set", "model.classes=3"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert run.stderr == b""
+    assert run.returncode == -signal.SIGPIPE
 
 
 def test_readme_walkthrough_commands_parse():

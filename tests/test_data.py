@@ -288,7 +288,9 @@ def test_features_second_round_trip_bitwise(tmp_path):
     samples, bands, channels = feature_fixture()
     write_features(tmp_path / "a", samples, bands, channels)
     fs = read_features(tmp_path / "a")
-    write_features(tmp_path / "b", fs.samples(), fs.bands, fs.channels)
+    again = [SampleTensor(v, int(y), m)
+             for v, y, m in zip(fs.values, fs.labels, fs.metas)]
+    write_features(tmp_path / "b", again, fs.bands, fs.channels)
     assert (tmp_path / "a.f32").read_bytes() == (tmp_path / "b.f32").read_bytes()
 
 
@@ -413,4 +415,3 @@ def test_featureset_helpers():
                     np.array([s.label for s in samples]),
                     [s.meta for s in samples], bands, channels)
     assert fs.n_classes == 2
-    assert len(fs.samples()) == fs.n_samples

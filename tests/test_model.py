@@ -10,12 +10,13 @@ from conftest import params64
 from amdet.attribution import rank_channels
 from amdet.engine import Tape, Tensor
 from amdet.errors import DataError, NumericalError
+from amdet.harness import evaluate
 from amdet import model
 from amdet.model import (ABLATABLE_BLOCKS, ModelConfig, classify,
                          encoder_layer, forward, init_params, mha,
                          largest_activation, param_count,
-                         param_shapes, spatial_block, spectral_block,
-                         temporal_block, wrap_params)
+                         param_shapes, predict, spatial_block,
+                         spectral_block, temporal_block, wrap_params)
 from amdet.model import _rng_for
 
 TOY = ModelConfig(channels=4, bands=2, frames=6, classes=2, seed=7,
@@ -98,17 +99,24 @@ def test_mha_single_token(rng):
     np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
 
-def test_mha_rejects_nonfinite_input():
-    p = toy_tensors()
-    x = np.full((3, 4), np.nan)
-    with pytest.raises(NumericalError):
-        mha(Tape(), p, "spectral.l0", Tensor(x), heads=2)
-
-
-def test_mha_rejects_bad_head_count(rng):
-    p = toy_tensors()
-    with pytest.raises(DataError):
-        mha(Tape(), p, "spectral.l0", Tensor(rng.normal(size=(3, 4))), heads=3)
+@pytest.mark.parametrize("weight", ["spectral.l0.mlp.w2.w",
+                                    "spatial.l0.mlp.w2.w", "classifier.w"])
+@pytest.mark.parametrize("caller", [
+    predict,
+    lambda params, cfg, x: evaluate(params, cfg, x, np.zeros(len(x), int)),
+    lambda params, cfg, x: rank_channels(params, cfg, x,
+                                         np.zeros(len(x), int))],
+    ids=["predict", "evaluate", "rank_channels"])
+def test_forward_refuses_nonfinite_logits(rng, weight, caller):
+    """A finite weight that overflows float32 in the spectral block, after
+    the last attention layer or in the classifier: no non-finite value may
+    become a prediction, an accuracy or a channel score."""
+    params = init_params(TOY)
+    params[weight][...] = 3e38
+    x = rng.normal(size=(5, TOY.frames, TOY.feature_dim, TOY.channels))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="non-finite logits"):
+            caller(params, TOY, x)
 
 
 # --------------------------------------------------------- encoder layer
