@@ -15,6 +15,7 @@ load -> save reproduces both files byte for byte.
 from __future__ import annotations
 
 import math
+from dataclasses import asdict
 from itertools import zip_longest
 from pathlib import Path
 
@@ -42,7 +43,7 @@ def save_checkpoint(path: str | Path, params: dict[str, np.ndarray],
                     config: ModelConfig, extra: dict | None = None) -> None:
     layout = _check_layout(path, sorted(
         [name, list(np.shape(v))] for name, v in params.items()), config)
-    manifest = {"config": config.to_dict(), "params": layout}
+    manifest = {"config": asdict(config), "params": layout}
     if extra:
         manifest["extra"] = extra
     _write_pair(path, manifest, np.concatenate(
@@ -57,10 +58,14 @@ def load_checkpoint(path: str | Path
     The config must pass ModelConfig's caps, the layer cap before any layer
     is listed; then the params list must be `param_shapes(config)`, the
     payload must hold exactly their values, and extra (if present) must be
-    an object. A config without "ablate" is a full model.
+    an object. A config without "ablate" is a full model. Every DataError
+    names path.
     """
     manifest, payload = _read_pair(path, "checkpoint", params=list)
-    config = ModelConfig.from_dict(manifest.get("config"))
+    try:
+        config = ModelConfig.from_dict(manifest.get("config"))
+    except DataError as e:          # a field's type or value, or a size cap
+        raise DataError(f"{path}: {e}") from e
     extra = manifest.get("extra", {})
     if not isinstance(extra, dict):
         raise DataError(f"{path}: checkpoint extra {extra!r} is not an object")

@@ -18,6 +18,7 @@ import json
 import numbers
 import signal
 import sys
+from dataclasses import asdict
 
 from . import attribution, data, features as feat, harness
 from .checkpoint import load_checkpoint
@@ -156,7 +157,7 @@ def _print_report(report) -> None:
 
 
 def cmd_synth(args) -> int:
-    spec = data.SynthSpec.from_dict({**data.default_synth_spec().to_dict(),
+    spec = data.SynthSpec.from_dict({**asdict(data.default_synth_spec()),
                                      **_load_config(args)})
     rec = data.synth_generate(spec)
     data.write_recording(args.out, rec)
@@ -244,7 +245,7 @@ def cmd_count(args) -> int:
         "params": param_count(model_cfg),
         "flops_per_forward": forward_flops(model_cfg),
         "mlp_ratio": model_cfg.mlp_ratio,
-        "config": model_cfg.to_dict(),
+        "config": asdict(model_cfg),
     }, indent=1))
     return 0
 
@@ -259,7 +260,7 @@ def main(argv=None) -> int:
     except (DataError, OSError) as e:   # OSError: e.g. an --out that is a file
         print(f"data error: {e}", file=sys.stderr)
         return 2
-    except (NumericalError, FloatingPointError) as e:
+    except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
 

@@ -31,7 +31,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -117,9 +117,6 @@ class SynthSpec:
                 raise DataError(
                     f"synth: planted hi_hz {sig.hi_hz} exceeds Nyquist "
                     f"{nyquist} Hz")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SynthSpec":
@@ -378,8 +375,9 @@ def read_recording(path: str | Path) -> RawRecording:
 
 @dataclass
 class FeatureSet:
-    """All samples of a feature file: values (N, F, 2f, C) plus labels/meta,
-    and one name per channel (None names them ch00, ch01, ...)."""
+    """All samples of a feature file: values (N, F, 2f, C) with N >= 1 and
+    an even feature axis, plus labels/meta, and one name per channel (None
+    names them ch00, ch01, ...)."""
 
     values: np.ndarray
     labels: np.ndarray
@@ -388,11 +386,14 @@ class FeatureSet:
     channels: list[str] | None = None
 
     def __post_init__(self):
+        shape = self.values.shape
+        if len(shape) != 4 or shape[0] < 1 or shape[2] % 2:
+            raise DataError(f"features: values must be shaped (samples >= 1, "
+                            f"frames, 2 x bands, channels), got {shape}")
+        n, _, _, n_channels = shape
         # no more classes than samples: a class count is what a model and
         # its confusion matrix allocate
-        n = len(self.values)
         self.labels = check_labels("features", self.labels, n, n)
-        n_channels = self.values.shape[-1]
         if self.channels is None:
             self.channels = [f"ch{i:02d}" for i in range(n_channels)]
         check_channel_names("features", self.channels, n_channels)
@@ -403,7 +404,7 @@ class FeatureSet:
 
     @property
     def n_classes(self) -> int:
-        return int(self.labels.max()) + 1 if self.labels.size else 0
+        return int(self.labels.max()) + 1
 
 
 def write_features(path: str | Path, samples: list[SampleTensor],

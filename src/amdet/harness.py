@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import numbers
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from math import gcd
 from pathlib import Path
 
@@ -56,26 +56,20 @@ class ExperimentConfig:
             raise DataError(f"config: split_mode must be one of "
                             f"{SPLIT_MODES}, got {self.split_mode!r}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         return build("config", cls, d)
 
-    def model_config(self, features: FeatureSet | None = None,
-                     seed: int | None = None) -> ModelConfig:
-        """Resolve the model shape from the feature file plus overrides."""
-        resolved = dict(self.model)
+    def model_config(self, features: FeatureSet | None = None) -> ModelConfig:
+        """Resolve the model shape from the feature file plus overrides,
+        seeded with the experiment seed."""
+        resolved = dict(self.model, seed=self.seed)
         if features is not None:
             _, frames, feat, channels = features.values.shape
-            if feat % 2 != 0:
-                raise DataError(f"feature axis {feat} is not 2 x bands")
             resolved.setdefault("channels", channels)
             resolved.setdefault("bands", feat // 2)
             resolved.setdefault("frames", frames)
             resolved.setdefault("classes", features.n_classes)
-        resolved["seed"] = self.seed if seed is None else seed
         return ModelConfig.from_dict(resolved)
 
 
@@ -97,9 +91,6 @@ class RunReport:
     seed: int
     ablate: str | None = None
     mlp_ratio: int = 0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def kfold_split(n_samples: int, folds: int, mode: str, seed: int,
@@ -186,14 +177,10 @@ def evaluate(params: dict[str, np.ndarray], model_cfg: ModelConfig,
 
 
 def _macro_f1(confusion: np.ndarray) -> float:
-    scores = []
-    for c in range(confusion.shape[0]):
-        tp = confusion[c, c]
-        fp = confusion[:, c].sum() - tp
-        fn = confusion[c, :].sum() - tp
-        denom = 2 * tp + fp + fn
-        scores.append(2 * tp / denom if denom else 0.0)
-    return float(np.mean(scores))
+    # 2tp + fp + fn is a class's row sum plus its column sum; where that is
+    # 0, so is tp, and the class scores 0
+    denom = confusion.sum(axis=0) + confusion.sum(axis=1)
+    return float(np.mean(2 * np.diag(confusion) / np.maximum(denom, 1)))
 
 
 def train(config: ExperimentConfig, features: FeatureSet) -> RunReport:
@@ -217,7 +204,7 @@ def train(config: ExperimentConfig, features: FeatureSet) -> RunReport:
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     for fold, (train_idx, test_idx) in enumerate(splits):
-        model_cfg = config.model_config(features, seed=config.seed + fold)
+        model_cfg = replace(model_cfg0, seed=config.seed + fold)
         try:
             params, losses = fit(x[train_idx], y[train_idx], model_cfg,
                                  config.optimizer, config.epochs,
@@ -261,7 +248,7 @@ def write_report(out_dir: str | Path, report: RunReport) -> None:
               for fold, curve in enumerate(report.loss_curves)
               for epoch, loss in enumerate(curve)]
     replace_files(
-        (out / "report.json", json.dumps(report.to_dict(), indent=1)),
+        (out / "report.json", json.dumps(asdict(report), indent=1)),
         (out / "loss.csv", csv_text([["fold", "epoch", "loss"], *losses])))
 
 
@@ -288,12 +275,10 @@ def reduce_channels_sweep(config: ExperimentConfig, features: FeatureSet,
         sub = FeatureSet(reduced, features.labels, features.metas,
                          features.bands,
                          [features.channels[i] for i in ranking[:k]])
-        sub_config = ExperimentConfig.from_dict(config.to_dict())
-        sub_config.out_dir = str(out_dir / f"k{k}") if out_dir else ""
-        sub_config.model = dict(config.model)
-        sub_config.model["channels"] = k
-        sub_config.model["spectral_heads"] = _heads_for(
-            k, base_cfg.spectral_heads)
+        heads = _heads_for(k, base_cfg.spectral_heads)
+        sub_config = replace(
+            config, out_dir=str(out_dir / f"k{k}") if out_dir else "",
+            model={**config.model, "channels": k, "spectral_heads": heads})
         report = train(sub_config, sub)
         rows.append({"k": k, "mean": report.mean_accuracy,
                      "std": report.std_accuracy})

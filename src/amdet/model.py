@@ -34,8 +34,8 @@ ABLATABLE_BLOCKS = ("spectral", "spatial", "temporal")
 # training batch, so inference needs no more memory than a training step
 INFERENCE_BATCH = 16
 # size caps, checked on the config before any array exists; the SEED-shaped
-# model (C=62, 6 frames) has one layer per block, 274,868 parameters, and its
-# largest activation, the MLP hidden layer, holds 119,040 values per sample
+# model (C=62, 6 frames) has one layer per block, 274,868 parameters, and
+# 2 x 119,040 encoder activations per sample (two layers x an MLP hidden layer)
 MAX_LAYERS = 64                 # encoder layers per block
 MAX_PARAMETERS = 10 ** 7
 MAX_ACTIVATION = 10 ** 7        # values per sample: 40 MB in float32
@@ -85,9 +85,10 @@ class ModelConfig:
         cap(param_count(self), MAX_PARAMETERS, "parameter count", "channels",
             "bands", "classes", "mlp_ratio", "spectral_layers",
             "spatial_layers")
-        cap(largest_activation(self), MAX_ACTIVATION,
-            "largest activation per sample", "frames", "channels", "bands",
-            "mlp_ratio", "spectral_heads", "spatial_heads")
+        cap(encoder_activations(self), MAX_ACTIVATION,
+            "encoder activations per sample", "frames", "channels", "bands",
+            "mlp_ratio", "spectral_heads", "spatial_heads", "spectral_layers",
+            "spatial_layers")
 
     @property
     def feature_dim(self) -> int:
@@ -96,9 +97,6 @@ class ModelConfig:
     @property
     def flat_dim(self) -> int:
         return self.feature_dim * self.channels
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -141,16 +139,18 @@ def param_count(cfg: ModelConfig) -> int:
                for shape in param_shapes(cfg).values())
 
 
-def largest_activation(cfg: ModelConfig) -> int:
-    """Values per sample in the largest tensor a forward pass makes: an
-    encoder's MLP hidden layer (frames x 2f x C x mlp_ratio in both blocks)
-    or a layer's attention scores over all heads (frames x heads x
-    tokens^2). The logits are never larger: the classifier's weight, which
-    the parameter cap bounds, holds flat_dim values per class."""
+def encoder_activations(cfg: ModelConfig) -> int:
+    """A bound on the values per sample that a forward's encoder layers keep
+    on its tape: the layer count times the largest tensor one layer makes,
+    its MLP hidden layer (frames x 2f x C x mlp_ratio in both blocks) or its
+    attention scores over all heads (frames x heads x tokens^2). The logits
+    are never larger: the classifier's weight, which the parameter cap
+    bounds, holds flat_dim values per class."""
     f, d2f, c = (int(n) for n in (cfg.frames, cfg.feature_dim, cfg.channels))
-    return max(f * d2f * c * int(cfg.mlp_ratio),
-               f * int(cfg.spectral_heads) * d2f * d2f,
-               f * int(cfg.spatial_heads) * c * c)
+    layers = int(cfg.spectral_layers) + int(cfg.spatial_layers)
+    return layers * max(f * d2f * c * int(cfg.mlp_ratio),
+                        f * int(cfg.spectral_heads) * d2f * d2f,
+                        f * int(cfg.spatial_heads) * c * c)
 
 
 def init_params(cfg: ModelConfig) -> dict[str, np.ndarray]:

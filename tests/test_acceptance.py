@@ -144,7 +144,7 @@ def test_criterion_4_overfit_sanity():
     fs = build_featureset(spec)
     assert fs.n_samples == 64
     cfg = experiment(seed=21, folds=2, epochs=1)
-    mcfg = cfg.model_config(fs, seed=21)
+    mcfg = cfg.model_config(fs)
 
     from amdet.engine import AdamW
     from amdet.model import predict
@@ -258,7 +258,7 @@ def test_criterion_7_attribution_recovery():
         fs = build_featureset(default_synth_spec(trials_per_class=15,
                                                  seed=seed))
         cfg = experiment(seed=seed, folds=5, epochs=15)
-        mcfg = cfg.model_config(fs, seed=seed)
+        mcfg = cfg.model_config(fs)
         params, _ = fit(fs.values, fs.labels, mcfg, cfg.optimizer, 15, seed)
         ranked = rank_channels(params, mcfg, fs.values, fs.labels)
         rankings[seed] = ranked.ranking

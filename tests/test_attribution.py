@@ -241,7 +241,7 @@ def test_planted_channels_recovered(rng):
                     [s.meta for s in samples], list(DEAP_BANDS))
     exp = ExperimentConfig(out_dir="", seed=2, folds=5, epochs=15,
                            optimizer=OptimizerConfig())
-    mcfg = exp.model_config(fs, seed=2)
+    mcfg = exp.model_config(fs)
     params, _ = fit(fs.values, fs.labels, mcfg, exp.optimizer, 15, 2)
     report = rank_channels(params, mcfg, fs.values, fs.labels)
     top25pct = set(report.ranking[:4])

@@ -240,7 +240,8 @@ def test_malformed_checkpoint_eval_exits_2(case, tmp_path, eval_features,
         load_checkpoint(path)
     assert main(["eval", "--checkpoint", str(path),
                  "--features", str(eval_features)]) == 2
-    assert "data error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(path) in err, err
 
 
 def test_checkpoint_with_a_billion_layers_is_refused_before_listing_them(
@@ -254,8 +255,8 @@ def test_checkpoint_with_a_billion_layers_is_refused_before_listing_them(
     def listing(config):
         raise AssertionError("param_shapes ran")
     monkeypatch.setattr(checkpoint, "param_shapes", listing)
-    refusal = ("model config: layer count 1000000000 is over the cap of 64 "
-               "(spectral_layers=1000000000, spatial_layers=1)")
+    refusal = (f"{path}: model config: layer count 1000000000 is over the "
+               "cap of 64 (spectral_layers=1000000000, spatial_layers=1)")
     with pytest.raises(DataError, match=re.escape(refusal)):
         load_checkpoint(path)
     assert main(["eval", "--checkpoint", str(path),

@@ -233,6 +233,24 @@ def test_eval_negative_label_exit_code_2(pipeline, capsys):
     assert "non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda m: m.update(samples=[]), id="no-samples"),
+    pytest.param(lambda m: m.update(shape=[16, 3, 8]), id="odd-feature-axis")])
+def test_eval_feature_file_without_samples_or_bands_exit_code_2(
+        pipeline, tmp_path, edit, capsys):
+    # a FEAT file holds (N >= 1, F, 2f, C) values: zero samples once printed
+    # accuracy 0.0 and exited 0
+    manifest = json.loads((pipeline / "feat.json").read_text())
+    edit(manifest)
+    (tmp_path / "bad.json").write_text(json.dumps(manifest))
+    (tmp_path / "bad.f32").write_bytes(
+        (pipeline / "feat.f32").read_bytes() if manifest["samples"] else b"")
+    assert main(["eval", "--checkpoint", str(pipeline / "run" / "fold0.amdw"),
+                 "--features", str(tmp_path / "bad")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {tmp_path / 'bad'}: features: "), err
+
+
 def test_train_label_beyond_sample_count_exit_code_2(pipeline, capsys):
     # classes would be max label + 1: a 10**12 label must not size an array
     import shutil

@@ -1,7 +1,9 @@
 """Synthetic generation determinism/planting, and EEGR/FEAT round-trips."""
 
 import json
+import re
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -136,7 +138,7 @@ def test_synth_spec_validation():
 
 def test_synth_spec_json_round_trip():
     spec = default_synth_spec(seed=9)
-    again = SynthSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+    again = SynthSpec.from_dict(json.loads(json.dumps(asdict(spec))))
     assert again == spec
 
 
@@ -399,6 +401,16 @@ def test_features_negative_label_rejected(tmp_path):
 def test_featureset_rejects_bad_labels(labels):
     with pytest.raises(DataError, match="labels"):
         FeatureSet(np.zeros((4, 6, 4, 3)), labels, [{}] * 4, [])
+
+
+@pytest.mark.parametrize("shape", [(0, 6, 4, 3), (4, 6, 5, 3), (4, 6, 4)])
+def test_featureset_rejects_values_no_model_reads(shape):
+    # no samples, an odd feature axis (not 2 x bands), no channel axis
+    with pytest.raises(DataError, match=r"features: values must be shaped "
+                                        r"\(samples >= 1, .* got "
+                                        + re.escape(str(shape))):
+        FeatureSet(np.zeros(shape), np.zeros(shape[0], int),
+                   [{}] * shape[0], [])
 
 
 @pytest.mark.parametrize("channels", [5, "abc", ["a"], ["a", "b", 3],

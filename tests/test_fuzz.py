@@ -1,9 +1,10 @@
 """Hostile model fields: `count` with every model field set to each value of
-VALUES, and `eval` of a checkpoint whose manifest config holds each of them
-or lacks the field. All cases run in one process whose address space is
-capped at 2 GiB, so that an allocation the size caps miss fails fast. Every
-case must exit 0-3 with the stderr prefix its exit code documents, and no
-exception may escape `cli.main`."""
+VALUES, `eval` of a checkpoint whose manifest config holds each of them or
+lacks the field, and `count` of models whose encoder layers together keep
+too many activations. Each test runs its cases in one process whose address
+space is capped at 2 GiB, so that an allocation the size caps miss fails
+fast. Every case must exit 0-3 with the stderr prefix its exit code
+documents, and no exception may escape `cli.main`."""
 
 import json
 import os
@@ -79,11 +80,8 @@ def _checkpoint_cases(tmp_path) -> list[list[str]]:
     return cases
 
 
-def test_hostile_model_fields_exit_as_documented(tmp_path):
-    cases = [["count", *SHAPE, "--set", f"model.{field}={value}"]
-             for field in FIELDS for value in VALUES]
-    cases += _checkpoint_cases(tmp_path)
-    assert len(cases) == 11 * 16 + 11 * 17
+def _run(cases: list[list[str]]) -> list[list]:
+    """[exit code or escaped exception, stderr] per argv, from RUNNER."""
     env = {**os.environ,
            "PYTHONPATH": str(Path(amdet.__file__).resolve().parents[1])}
     run = subprocess.run([sys.executable, "-c", RUNNER], env=env,
@@ -92,9 +90,39 @@ def test_hostile_model_fields_exit_as_documented(tmp_path):
     assert run.returncode == 0, run.stderr
     results = json.loads(run.stdout)
     assert len(results) == len(cases)
+    return results
+
+
+def test_hostile_model_fields_exit_as_documented(tmp_path):
+    cases = [["count", *SHAPE, "--set", f"model.{field}={value}"]
+             for field in FIELDS for value in VALUES]
+    cases += _checkpoint_cases(tmp_path)
+    assert len(cases) == 11 * 16 + 11 * 17
+    results = _run(cases)
     wrong = [(argv, code, err) for argv, (code, err) in zip(cases, results)
              if code not in PREFIX or not err.startswith(PREFIX[code])
              or "Traceback" in err or (code == 0) != (err == "")]
     assert wrong == []
     codes = {code for code, _ in results}
     assert codes == {0, 2}
+
+
+def test_deep_encoders_are_capped_by_the_activations_all_layers_keep():
+    """Every encoder layer's activations stay on the tape. Counting a model
+    with 8 layers per block, each layer's largest tensor within 10**7
+    values, once ended in a MemoryError under 2 GiB. The cap counts all
+    layers, so that model and its 1-layer variant (2 x 10**7 values) exit 2
+    and name the layer fields."""
+    narrow = [word for field in (
+        "channels=2", "bands=1", "frames=100000", "classes=2", "mlp_ratio=25",
+        "spectral_heads=1", "spatial_heads=1") for word in (
+        "--set", f"model.{field}")]
+    results = _run([["count", *narrow, "--set", f"model.spectral_layers={n}",
+                     "--set", f"model.spatial_layers={n}"] for n in (8, 1)])
+    for (code, err), n in zip(results, (8, 1)):
+        assert code == 2, err
+        assert err == (f"data error: model config: encoder activations per "
+                       f"sample {2 * n * 10 ** 7} is over the cap of "
+                       f"{10 ** 7} (frames=100000, channels=2, bands=1, "
+                       f"mlp_ratio=25, spectral_heads=1, spatial_heads=1, "
+                       f"spectral_layers={n}, spatial_layers={n})\n")

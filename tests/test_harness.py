@@ -3,6 +3,7 @@
 import json
 import re
 import threading
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -145,9 +146,7 @@ def test_report_artifacts_written(run_once):
 
 def test_train_deterministic_rerun(run_once):
     fs, config, report, _ = run_once
-    rerun_cfg = ExperimentConfig.from_dict(config.to_dict())
-    rerun_cfg.out_dir = ""
-    rerun = train(rerun_cfg, fs)
+    rerun = train(replace(config, out_dir=""), fs)
     assert rerun.fold_accuracies == report.fold_accuracies
     assert rerun.loss_curves == report.loss_curves
 
@@ -218,7 +217,7 @@ def test_evaluate_rejects_label_count_mismatch(rng):
 def test_ablate_report_schema_matches_train(run_once):
     fs, _, report, _ = run_once
     ablated = train(tiny_config(model={"ablate": "temporal"}), fs)
-    assert set(ablated.to_dict()) == set(report.to_dict())
+    assert set(asdict(ablated)) == set(asdict(report))
     assert ablated.ablate == "temporal"
     # same parameters; the FLOPs are those of the forward that ran
     assert ablated.n_params == report.n_params
@@ -320,7 +319,7 @@ def test_reduce_channels_sweep_adjusts_heads_for_odd_k(tmp_path):
 def test_experiment_config_round_trip():
     config = tiny_config(split_mode="trial", epochs=7)
     again = ExperimentConfig.from_dict(
-        json.loads(json.dumps(config.to_dict())))
+        json.loads(json.dumps(asdict(config))))
     assert again == config
 
 

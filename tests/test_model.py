@@ -13,8 +13,8 @@ from amdet.errors import DataError, NumericalError
 from amdet.harness import evaluate
 from amdet import model
 from amdet.model import (ABLATABLE_BLOCKS, ModelConfig, classify,
-                         encoder_layer, forward, init_params, mha,
-                         largest_activation, param_count,
+                         encoder_activations, encoder_layer, forward,
+                         init_params, mha, param_count,
                          param_shapes, predict, spatial_block,
                          spectral_block, temporal_block, wrap_params)
 from amdet.model import _rng_for
@@ -516,15 +516,16 @@ def test_config_validation():
 
 
 def test_size_caps_refuse_a_config_that_is_too_large(monkeypatch):
-    """The layer counts, the parameter count and the largest activation per
+    """The layer counts, the parameter count and the encoder activations per
     sample come from the config's fields alone; a config over any cap is a
     DataError that names the fields, at the cap it passes."""
     seed_shape = ModelConfig(channels=62, bands=5, frames=6, classes=3)
     assert param_count(seed_shape) == 274868 < model.MAX_PARAMETERS
-    assert largest_activation(seed_shape) == 6 * 10 * 62 * 32 \
+    # two layers, each at most an MLP hidden layer of F x 2f x C x mlp_ratio
+    assert encoder_activations(seed_shape) == 2 * 6 * 10 * 62 * 32 \
         < model.MAX_ACTIVATION
     for cap, size in (("MAX_PARAMETERS", param_count(seed_shape)),
-                      ("MAX_ACTIVATION", largest_activation(seed_shape))):
+                      ("MAX_ACTIVATION", encoder_activations(seed_shape))):
         monkeypatch.setattr(model, cap, size)
         ModelConfig(channels=62, bands=5, frames=6, classes=3)
         monkeypatch.setattr(model, cap, size - 1)
@@ -544,9 +545,16 @@ def test_size_caps_refuse_a_config_that_is_too_large(monkeypatch):
                                         "spectral_layers=1000000000000"):
         ModelConfig(channels=4, bands=2, frames=6, classes=2,
                     spectral_layers=10 ** 12)
-    with pytest.raises(DataError, match="activation per sample .*"
+    with pytest.raises(DataError, match="activations per sample .*"
                                         "frames=1000000000000"):
         ModelConfig(channels=4, bands=2, frames=10 ** 12, classes=2)
+    # every layer's activations stay on the tape: 16 layers of 10**7 values
+    with pytest.raises(DataError, match=r"activations per sample 160000000 "
+                                        r".*spectral_layers=8, "
+                                        r"spatial_layers=8\)"):
+        ModelConfig(channels=2, bands=1, frames=100000, classes=2,
+                    mlp_ratio=25, spectral_heads=1, spatial_heads=1,
+                    spectral_layers=8, spatial_layers=8)
     # 16 x classes wraps to -2**63 + 16 in int64: the count must not
     with pytest.raises(DataError, match="parameter count .*classes="):
         ModelConfig(channels=4, bands=2, frames=6,
