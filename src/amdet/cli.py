@@ -198,9 +198,22 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
+def _checkpoint_and_features(args):
+    """(params, model config, feature set) of --checkpoint and --features,
+    refused as a pair unless the model reads the file's sample shape."""
     params, model_cfg, _ = load_checkpoint(args.checkpoint)
     fs = data.read_features(args.features)
+    reads = (model_cfg.frames, model_cfg.feature_dim, model_cfg.channels)
+    holds = fs.values.shape[1:]
+    if holds != reads:
+        raise DataError(f"checkpoint {args.checkpoint} reads samples shaped "
+                        f"{reads}, feature file {args.features} holds "
+                        f"{holds}")
+    return params, model_cfg, fs
+
+
+def cmd_eval(args) -> int:
+    params, model_cfg, fs = _checkpoint_and_features(args)
     acc, confusion = harness.evaluate(params, model_cfg, fs.values, fs.labels)
     print(json.dumps({"accuracy": acc, "confusion": confusion.tolist(),
                       "n_samples": int(fs.n_samples)}, indent=1))
@@ -208,11 +221,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_attribute(args) -> int:
-    params, model_cfg, _ = load_checkpoint(args.checkpoint)
+    params, model_cfg, fs = _checkpoint_and_features(args)
     if model_cfg.ablate is not None:
         raise DataError(f"attribution requires a full model, this one has "
                         f"its {model_cfg.ablate} block removed")
-    fs = data.read_features(args.features)
     top_ks = args.topk or [min(8, len(fs.channels))]
     _check_ks(top_ks, fs.values.shape[-1])
     report = attribution.rank_channels(params, model_cfg, fs.values,

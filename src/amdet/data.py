@@ -36,12 +36,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, build, check_labels, check_numbers
+from .errors import (DataError, build, check_cap, check_labels,
+                     check_numbers)
 from .features import (BandSpec, RawRecording, SampleTensor, Trial,
                        all_finite, check_channel_names)
 
 
 # ------------------------------------------------------------- synthesis
+
+# size caps, checked on the spec before any array exists: a recording's
+# float32 values, and one trial's, which synth_generate works on in float64
+# and complex arrays of about ten times its float32 bytes
+MAX_RECORDING_VALUES = 10 ** 8      # 400 MB in float32
+MAX_TRIAL_VALUES = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -100,12 +107,24 @@ class SynthSpec:
                       noise_scale=self.noise_scale)
         check_numbers("synth", numbers.Real, ">= 0",
                       baseline_seconds=self.baseline_seconds)
-        # round(x) >= 1 exactly when x > 0.5; an inf product is left to
-        # synth_generate, which refuses a recording it cannot allocate
-        if not self.trial_seconds * self.sample_rate_hz > 0.5:
+        fs = self.sample_rate_hz
+        # round(x) >= 1 exactly when x > 0.5
+        if not self.trial_seconds * fs > 0.5:
             raise DataError(f"synth: trial_seconds={self.trial_seconds} "
-                            f"holds no sample at {self.sample_rate_hz} Hz")
-        nyquist = self.sample_rate_hz / 2
+                            f"holds no sample at {fs} Hz")
+        # finite durations times a finite rate can still be inf samples
+        lengths = (self.baseline_seconds * fs, self.trial_seconds * fs)
+        per_trial = int(self.channels) * sum(int(round(n)) for n in lengths) \
+            if math.isfinite(sum(lengths)) else math.inf
+        sizes = ("channels", "sample_rate_hz", "trial_seconds",
+                 "baseline_seconds")
+        check_cap("synth", self, per_trial, MAX_TRIAL_VALUES,
+                  "values per trial", *sizes)
+        check_cap("synth", self, int(self.n_classes)
+                  * int(self.trials_per_class) * per_trial,
+                  MAX_RECORDING_VALUES, "recording values", "n_classes",
+                  "trials_per_class", *sizes)
+        nyquist = fs / 2
         for sig in self.planted:
             if sig.class_index >= self.n_classes:
                 raise DataError(f"synth: planted class_index "
@@ -171,23 +190,18 @@ def _envelope(rng: np.random.Generator, n: int, fs: float) -> np.ndarray:
     return env
 
 
+@np.errstate(over="ignore")
 def synth_generate(spec: SynthSpec) -> RawRecording:
     """Deterministic synthetic recording; one PRNG stream per trial. Each
     trial is drawn in float64 and rounded once into the float32 recording,
-    so a value beyond the float32 range becomes inf and RawRecording refuses
-    it."""
+    so a value beyond the float32 range (or the float64 one) becomes inf and
+    RawRecording refuses it."""
     fs = spec.sample_rate_hz
     n_trials = spec.n_classes * spec.trials_per_class
-    try:    # finite durations times a finite rate can still be too many
-        trial_len = int(round(spec.trial_seconds * fs))
-        base_len = int(round(spec.baseline_seconds * fs))
-        data = np.empty((spec.channels, n_trials * (base_len + trial_len)),
-                        np.float32)
-    except (OverflowError, ValueError, MemoryError):
-        raise DataError(
-            f"synth: sample_rate_hz={fs} gives a recording of {n_trials} "
-            f"trials x {spec.baseline_seconds + spec.trial_seconds} s x "
-            f"{spec.channels} channels that cannot be allocated") from None
+    trial_len = int(round(spec.trial_seconds * fs))
+    base_len = int(round(spec.baseline_seconds * fs))
+    data = np.empty((spec.channels, n_trials * (base_len + trial_len)),
+                    np.float32)
     trials: list[Trial] = []
     cursor = 0
     for ti in range(n_trials):
@@ -208,8 +222,7 @@ def synth_generate(spec: SynthSpec) -> RawRecording:
             wave = sig.amplitude * env * np.sin(2.0 * np.pi * freq * t + phase)
             for ch in sig.channels:
                 block[ch, base_len:] += wave
-        with np.errstate(over="ignore"):
-            data[:, cursor:cursor + span] = block
+        data[:, cursor:cursor + span] = block
         if base_len > 0:
             trials.append(Trial(start=cursor + base_len, end=cursor + span,
                                 label=label, baseline_start=cursor,

@@ -33,10 +33,18 @@ a gradient for such an input (attribution differentiates with respect to the
 input alone, so its parameters are wrapped with ``needs_grad=False``). A tape
 is built for one forward pass, differentiated at most once, and discarded.
 
-Gradients are never written in place. The first gradient reaching a tensor is
-stored as returned (it may be a view of, or the same array as, another
-tensor's gradient: ``add`` hands ``g`` to both inputs), and later ones are
-added out of place. Finiteness is checked once per backward, on the leaves
+Each backward owns the gradient ``g`` it receives and may write into it, and
+no op hands one array to two inputs (``add`` gives its second input a copy of
+``g`` when both would get ``g`` itself). So ``relu``, ``softmax``, ``scale``
+and ``layer_norm`` build their input's gradient in ``g``'s array, and the
+first gradient reaching a tensor is stored as returned, later ones added
+into it. Each such write happens only where the result keeps the array's
+dtype (a float32 gradient that a float64 one would widen is summed out of
+place), so every value and gradient has the bits of the out-of-place
+formulas. Backward never writes into a forward array. A SEED-shaped training
+step (C=62, batch 16) holds 25.1 MB after its forward pass, and backward
+allocates 10.4 MB beyond that (18.0 MB while every backward allocated its
+result). Finiteness is checked once per backward, on the leaves
 (tensors no node produced: parameters, inputs, constants), since a NaN or inf
 made anywhere flows into some leaf's gradient. Only if that check fails is the
 reverse pass replayed with a check after every op, to name the op and input
@@ -277,8 +285,10 @@ class Tape:
                      _name("add", a, b))
 
         def backward(g):
-            return (_unbroadcast(g, a.data.shape) if a.needs_grad else None,
-                    _unbroadcast(g, b.data.shape) if b.needs_grad else None)
+            ga = _unbroadcast(g, a.data.shape) if a.needs_grad else None
+            gb = _unbroadcast(g, b.data.shape) if b.needs_grad else None
+            # each input owns its gradient, so both may not be g itself
+            return ga, g.copy() if gb is g and ga is g else gb
 
         return self._record("add", out, (a, b), backward)
 
@@ -299,7 +309,10 @@ class Tape:
                      _name("scale", a))
 
         def backward(g):
-            return (g * c,)
+            if np.result_type(g, c) != g.dtype:
+                return (g * c,)
+            g *= c
+            return (g,)
 
         return self._record("scale", out, (a,), backward)
 
@@ -348,8 +361,8 @@ class Tape:
         out = Tensor(y, _name("relu", a))
 
         def backward(g):
-            # y > 0 exactly where a > 0, NaN included
-            return (g * (y > 0),)
+            g *= y > 0          # y > 0 exactly where a > 0, NaN included
+            return (g,)
 
         return self._record("relu", out, (a,), backward)
 
@@ -362,7 +375,11 @@ class Tape:
         out = Tensor(p, _name("softmax", a))
 
         def backward(g):
-            return (p * (g - _row_sum(g, p)),)
+            if np.result_type(g, p) != g.dtype:
+                return (p * (g - _row_sum(g, p)),)
+            g -= _row_sum(g, p)
+            g *= p
+            return (g,)
 
         return self._record("softmax", out, (a,), backward)
 
@@ -379,16 +396,24 @@ class Tape:
         out = Tensor(xhat * gain.data + bias.data, _name("layer_norm", a))
 
         def backward(g):
-            ga = ggain = gbias = None
-            if a.needs_grad:
-                gx_hat = g * gain.data
-                ga = inv * (gx_hat - _row_sum(gx_hat) / n
-                            - xhat * (_row_sum(gx_hat, xhat) / n))
-            if gain.needs_grad:
-                ggain = _unbroadcast(g * xhat, gain.data.shape)
-            if bias.needs_grad:
-                gbias = _unbroadcast(g, bias.data.shape)
-            return ga, ggain, gbias
+            ggain = _unbroadcast(g * xhat, gain.data.shape) \
+                if gain.needs_grad else None
+            gbias = _unbroadcast(g, bias.data.shape) if bias.needs_grad \
+                else None
+            if not a.needs_grad:
+                return None, ggain, gbias
+            # a's gradient is built in g's array, unless g went to the bias
+            # or the result would be wider than g's dtype
+            own = gbias is not g and \
+                np.result_type(g, gain.data, xhat) == g.dtype
+            gx_hat = np.multiply(g, gain.data, out=g if own else None)
+            mean, proj = _row_sum(gx_hat) / n, _row_sum(gx_hat, xhat) / n
+            if not own:
+                return inv * (gx_hat - mean - xhat * proj), ggain, gbias
+            gx_hat -= mean
+            gx_hat -= xhat * proj
+            gx_hat *= inv
+            return gx_hat, ggain, gbias
 
         return self._record("layer_norm", out, (a, gain, bias), backward)
 
@@ -466,8 +491,12 @@ class Tape:
                         f"non-finite gradient produced by op '{node.op}' "
                         f"for input '{inp.name}'")
                 gi = gi.reshape(inp.data.shape)
-                # out of place: gi may alias another tensor's gradient
-                inp.grad = gi if inp.grad is None else inp.grad + gi
+                if inp.grad is None:
+                    inp.grad = gi
+                elif np.result_type(inp.grad, gi) == inp.grad.dtype:
+                    inp.grad += gi
+                else:
+                    inp.grad = inp.grad + gi
 
     def matmul_flops(self) -> int:
         """2 * multiply-adds summed over every matmul recorded so far."""

@@ -6,7 +6,8 @@ input is written once, here, and its DataError names the owner and field:
 `check_numbers` checks a number's kind and, given one, a lower bound that
 also requires the number finite; `check_labels` checks that labels are a 1-D
 integer array of class indices. Rules that relate two fields (lo < hi, a head
-count that divides a width, Nyquist) stay with the class that holds both.
+count that divides a width, Nyquist) stay with the class that holds both, and
+so do size caps computed from several fields; `check_cap` words their error.
 `build` is the one route from a JSON mapping to a config object.
 """
 
@@ -49,6 +50,16 @@ def check_numbers(owner: str, kind: type, bound: str = "", /,
                 value > int(limit) if op == ">" else value >= int(limit))):
             raise DataError(f"{owner}: {name} must be finite and {bound}, "
                             f"got {value!r}")
+
+
+def check_cap(owner: str, config, size, limit: int, what: str,
+              *fields: str) -> None:
+    """Raise DataError if size, which config computed from the named fields,
+    is over limit; the message names owner and each field's value."""
+    if size > limit:
+        named = ", ".join(f"{k}={getattr(config, k)}" for k in fields)
+        raise DataError(f"{owner}: {what} {size} is over the cap of {limit} "
+                        f"({named})")
 
 
 def check_labels(owner: str, labels, n: int, classes: int) -> np.ndarray:

@@ -27,7 +27,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .engine import Tape, Tensor
-from .errors import DataError, NumericalError, build, check_numbers
+from .errors import (DataError, NumericalError, build, check_cap,
+                     check_numbers)
 
 ABLATABLE_BLOCKS = ("spectral", "spatial", "temporal")
 # samples per forward when not training (predict, Grad-CAM): the default
@@ -73,22 +74,18 @@ class ModelConfig:
             raise DataError(
                 f"model config: 2 x bands={self.feature_dim} not divisible "
                 f"by spatial_heads={self.spatial_heads}")
-
-        def cap(size: int, limit: int, what: str, *fields: str) -> None:
-            if size > limit:
-                named = ", ".join(f"{k}={getattr(self, k)}" for k in fields)
-                raise DataError(f"model config: {what} {size} is over the "
-                                f"cap of {limit} ({named})")
         # the layer cap comes first: param_count lists every layer
-        cap(max(self.spectral_layers, self.spatial_layers), MAX_LAYERS,
-            "layer count", "spectral_layers", "spatial_layers")
-        cap(param_count(self), MAX_PARAMETERS, "parameter count", "channels",
-            "bands", "classes", "mlp_ratio", "spectral_layers",
-            "spatial_layers")
-        cap(encoder_activations(self), MAX_ACTIVATION,
-            "encoder activations per sample", "frames", "channels", "bands",
-            "mlp_ratio", "spectral_heads", "spatial_heads", "spectral_layers",
-            "spatial_layers")
+        check_cap("model config", self, max(self.spectral_layers,
+                                            self.spatial_layers),
+                  MAX_LAYERS, "layer count", "spectral_layers",
+                  "spatial_layers")
+        check_cap("model config", self, param_count(self), MAX_PARAMETERS,
+                  "parameter count", "channels", "bands", "classes",
+                  "mlp_ratio", "spectral_layers", "spatial_layers")
+        check_cap("model config", self, encoder_activations(self),
+                  MAX_ACTIVATION, "encoder activations per sample", "frames",
+                  "channels", "bands", "mlp_ratio", "spectral_heads",
+                  "spatial_heads", "spectral_layers", "spatial_layers")
 
     @property
     def feature_dim(self) -> int:
@@ -346,9 +343,11 @@ def predict(params: dict[str, np.ndarray], cfg: ModelConfig,
 
 
 def forward_flops(cfg: ModelConfig) -> int:
-    """2 x multiply-adds of every matmul one single-sample forward runs."""
+    """2 x multiply-adds of every matmul one single-sample forward runs; the
+    count reads only shapes, so it runs on float32 zeros."""
     tape = Tape()
-    x = np.zeros((1, cfg.frames, cfg.feature_dim, cfg.channels))
-    zeros = {name: np.zeros(shape) for name, shape in param_shapes(cfg).items()}
+    x = np.zeros((1, cfg.frames, cfg.feature_dim, cfg.channels), np.float32)
+    zeros = {name: np.zeros(shape, np.float32)
+             for name, shape in param_shapes(cfg).items()}
     forward(tape, wrap_params(zeros), cfg, x)
     return tape.matmul_flops()

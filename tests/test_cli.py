@@ -514,6 +514,31 @@ def test_attribute_k_above_channel_count_fails_before_scoring(
     assert not out.exists()
 
 
+def test_checkpoint_that_does_not_fit_the_features_names_both_files(
+        tmp_path, monkeypatch, capsys):
+    """A SEED-shaped 62-channel checkpoint against a 16-channel feature
+    file: eval and attribute refuse the pair once both are read, before any
+    label check or forward, naming both files and both sample shapes."""
+    from amdet.checkpoint import save_checkpoint
+    from amdet.model import ModelConfig, init_params
+
+    monkeypatch.setattr("amdet.harness.evaluate", _never)
+    monkeypatch.setattr("amdet.attribution.rank_channels", _never)
+    cfg = ModelConfig(channels=62, bands=5, frames=6, classes=3)
+    checkpoint, feat = tmp_path / "c62.amdw", tmp_path / "c16"
+    save_checkpoint(checkpoint, init_params(cfg), cfg)
+    rng = np.random.default_rng(0)
+    write_features(feat, [SampleTensor(rng.normal(size=(6, 8, 16)), i % 3)
+                          for i in range(4)], DEAP_BANDS)
+    for argv in (["eval"], ["attribute", "--out", str(tmp_path / "a")]):
+        assert main([*argv, "--checkpoint", str(checkpoint),
+                     "--features", str(feat)]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: checkpoint {checkpoint} reads samples shaped "
+            f"(6, 10, 62), feature file {feat} holds (6, 8, 16)\n")
+    assert not (tmp_path / "a").exists()
+
+
 def test_reduce_channels_k_above_channel_count_fails_before_training(
         pipeline, monkeypatch, capsys):
     monkeypatch.setattr("amdet.harness.fit", _never)

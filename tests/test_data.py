@@ -48,6 +48,29 @@ def test_synth_class_balance():
     assert labels.count(0) == 5 and labels.count(1) == 5
 
 
+def test_synth_size_caps_refuse_a_spec_that_is_too_large(monkeypatch):
+    """A trial's values and the recording's come from the spec's fields
+    alone; a spec over either cap is a DataError that names the fields, at
+    the cap it passes. A finite rate can make a duration inf samples."""
+    from amdet import data
+
+    spec = dict(baseline_seconds=1.0)           # 4 x (128 + 384) per trial
+    for cap, size, what in (("MAX_TRIAL_VALUES", 2048, "values per trial"),
+                            ("MAX_RECORDING_VALUES", 4 * 2048,
+                             "recording values")):
+        monkeypatch.setattr(data, cap, size)
+        small_spec(**spec)
+        monkeypatch.setattr(data, cap, size - 1)
+        with pytest.raises(DataError, match=rf"synth: {what} {size} is over "
+                                            rf"the cap of {size - 1} \(.*"
+                                            rf"baseline_seconds=1.0\)"):
+            small_spec(**spec)
+        monkeypatch.undo()
+    with pytest.raises(DataError, match="values per trial inf .*"
+                                        "sample_rate_hz=1e\\+300"):
+        small_spec(sample_rate_hz=1e300, trial_seconds=1e10)
+
+
 def test_synth_trial_layout():
     spec = small_spec(baseline_seconds=1.0)
     rec = synth_generate(spec)

@@ -515,6 +515,20 @@ def test_config_validation():
                         spatial_heads=heads)
 
 
+def test_forward_flops_counts_on_float32_zeros(monkeypatch):
+    """The count reads only shapes, so its one forward runs on float32
+    zero parameters and input; the SEED shape counts 37,516,200 FLOPs."""
+    dtypes = []
+
+    def spy(tape, p, cfg, x):
+        dtypes.append({x.dtype, *(t.data.dtype for t in p.values())})
+        return forward(tape, p, cfg, x)
+
+    monkeypatch.setattr(model, "forward", spy)
+    assert model.forward_flops(SEED_CFG) == 37516200
+    assert dtypes == [{np.dtype(np.float32)}]
+
+
 def test_size_caps_refuse_a_config_that_is_too_large(monkeypatch):
     """The layer counts, the parameter count and the encoder activations per
     sample come from the config's fields alone; a config over any cap is a
