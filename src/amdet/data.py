@@ -45,10 +45,12 @@ from .features import (BandSpec, RawRecording, SampleTensor, Trial,
 # ------------------------------------------------------------- synthesis
 
 # size caps, checked on the spec before any array exists: a recording's
-# float32 values, and one trial's, which synth_generate works on in float64
-# and complex arrays of about ten times its float32 bytes
+# float32 values, one trial's, which synth_generate works on in float64
+# and complex arrays of about ten times its float32 bytes, and the trial
+# count, since each trial costs tens of microseconds of Python and an object
 MAX_RECORDING_VALUES = 10 ** 8      # 400 MB in float32
 MAX_TRIAL_VALUES = 10 ** 7
+MAX_TRIALS = 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -120,10 +122,11 @@ class SynthSpec:
                  "baseline_seconds")
         check_cap("synth", self, per_trial, MAX_TRIAL_VALUES,
                   "values per trial", *sizes)
-        check_cap("synth", self, int(self.n_classes)
-                  * int(self.trials_per_class) * per_trial,
-                  MAX_RECORDING_VALUES, "recording values", "n_classes",
-                  "trials_per_class", *sizes)
+        trials = int(self.n_classes) * int(self.trials_per_class)
+        check_cap("synth", self, trials, MAX_TRIALS, "trials", "n_classes",
+                  "trials_per_class")
+        check_cap("synth", self, trials * per_trial, MAX_RECORDING_VALUES,
+                  "recording values", "n_classes", "trials_per_class", *sizes)
         nyquist = fs / 2
         for sig in self.planted:
             if sig.class_index >= self.n_classes:

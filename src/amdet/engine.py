@@ -24,32 +24,36 @@ one, so float32 loss curves differ in the last bits from those of the
 per-row reductions.
 
 A ``Tape`` records ops in execution order (which is already a topological
-order), and ``Tape.backward`` replays it in reverse. Only leaves keep their
-gradients: a produced tensor's gradient is freed as soon as the node that
-produced it has used it. A tensor needs a gradient if it is a leaf created
-with ``needs_grad=True`` (the default) or if any input of the op that
-produced it needs one; a tensor that needs none gets none, and no op computes
-a gradient for such an input (attribution differentiates with respect to the
-input alone, so its parameters are wrapped with ``needs_grad=False``). A tape
-is built for one forward pass, differentiated at most once, and discarded.
+order), and ``Tape.backward`` replays it in reverse. Every op hands its
+result array to ``Tape._record``, which makes the output tensor, names it
+after the op (``"matmul"``, ``"slice_last"``, ...) and records the node.
+Only leaves keep their gradients: a produced tensor's gradient is freed as
+soon as the node that produced it has used it. A tensor needs a gradient if
+it is a leaf created with ``needs_grad=True`` (the default) or if any input
+of the op that produced it needs one; a tensor that needs none gets none,
+and no op computes a gradient for such an input (attribution differentiates
+with respect to the input alone, so its parameters are wrapped with
+``needs_grad=False``). A tape is built for one forward pass, differentiated
+at most once, and discarded.
 
 Each backward owns the gradient ``g`` it receives and may write into it, and
-no op hands one array to two inputs (``add`` gives its second input a copy of
-``g`` when both would get ``g`` itself). So ``relu``, ``softmax``, ``scale``
-and ``layer_norm`` build their input's gradient in ``g``'s array (layer norm
-unless ``g`` went to a full-shape bias); ``g`` is never narrower than the
-op's output, so the result keeps its dtype. The first gradient reaching a
-tensor is stored as returned, later ones added into it. Only that sum can
-widen (a float32 gradient from a slice meeting a float64 one), and then it
-is taken out of place, so every value and gradient has the bits of the
-out-of-place formulas. Backward never writes into a forward array. A SEED-shaped training
-step (C=62, batch 16) holds 25.1 MB after its forward pass, and backward
-allocates 10.4 MB beyond that (18.0 MB while every backward allocated its
-result). Finiteness is checked once per backward, on the leaves
-(tensors no node produced: parameters, inputs, constants), since a NaN or inf
-made anywhere flows into some leaf's gradient. Only if that check fails is the
-reverse pass replayed with a check after every op, to name the op and input
-that produced the first non-finite gradient.
+no op hands one array to two inputs: an input that would get ``g`` itself a
+second time gets a copy (``add``'s second input when both would get ``g``,
+layer norm's bias when it has the output's shape). So ``relu``, ``softmax``,
+``scale`` and ``layer_norm`` build their input's gradient in ``g``'s array;
+``g`` is never narrower than the op's output, so the result keeps its dtype.
+The first gradient reaching a tensor is stored as returned, later ones added
+into it. Only that sum can widen (a float32 gradient from a slice meeting a
+float64 one), and then it is taken out of place, so every value and gradient
+has the bits of the out-of-place formulas. Backward never writes into a
+forward array. A SEED-shaped training step (C=62, batch 16) holds 25.1 MB
+after its forward pass, and backward allocates 10.4 MB beyond that (18.0 MB
+while every backward allocated its result). Finiteness is checked once per
+backward, on the leaves (tensors no node produced: parameters, inputs,
+constants), since a NaN or inf made anywhere flows into some leaf's
+gradient. Only if that check fails is the reverse pass replayed with a check
+after every op, to name the op and input that produced the first non-finite
+gradient.
 
 Forward values, unlike gradients, are written in place where a caller asks:
 ``add``, ``scale``, ``relu`` and ``softmax`` take ``inplace=True`` to write
@@ -202,12 +206,6 @@ def _row_max(a: Array) -> Array:
     return a
 
 
-def _name(op: str, *parents: "Tensor") -> str:
-    # capped so composed names stay cheap on deep graphs
-    label = f"{op}({','.join(p.name for p in parents)})"
-    return label if len(label) <= 64 else label[:61] + "..."
-
-
 @dataclass
 class _Node:
     op: str
@@ -222,8 +220,9 @@ class Tape:
     def __init__(self):
         self.nodes: list[_Node] = []
 
-    def _record(self, op, out, inputs, backward) -> Tensor:
-        out.needs_grad = any(t.needs_grad for t in inputs)
+    def _record(self, op, value, inputs, backward) -> Tensor:
+        """op's output: value named after op, recorded with its node."""
+        out = Tensor(value, op, any(t.needs_grad for t in inputs))
         self.nodes.append(_Node(op, out, inputs, backward))
         return out
 
@@ -260,8 +259,7 @@ class Tape:
             # stacked product would run one GEMM per leading index
             k, n = b.data.shape
             rows = a.data.reshape(-1, k)
-            out = Tensor((rows @ b.data).reshape(*a.data.shape[:-1], n),
-                         _name("matmul", a, b))
+            out = (rows @ b.data).reshape(*a.data.shape[:-1], n)
 
             def backward(g):
                 g = g.reshape(-1, n)
@@ -269,7 +267,7 @@ class Tape:
                     else None
                 return ga, _sum_over_rows(rows, g) if b.needs_grad else None
         else:
-            out = Tensor(a.data @ b.data, _name("matmul", a, b))
+            out = a.data @ b.data
 
             def backward(g):
                 ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2),
@@ -281,9 +279,7 @@ class Tape:
         return self._record("matmul", out, (a, b), backward)
 
     def add(self, a: Tensor, b: Tensor, inplace: bool = False) -> Tensor:
-        out = Tensor(np.add(a.data, b.data,
-                            out=self._target(a, inplace, b.data)),
-                     _name("add", a, b))
+        out = np.add(a.data, b.data, out=self._target(a, inplace, b.data))
 
         def backward(g):
             ga = _unbroadcast(g, a.data.shape) if a.needs_grad else None
@@ -294,8 +290,6 @@ class Tape:
         return self._record("add", out, (a, b), backward)
 
     def mul(self, a: Tensor, b: Tensor) -> Tensor:
-        out = Tensor(a.data * b.data, _name("mul", a, b))
-
         def backward(g):
             ga = _unbroadcast(g * b.data, a.data.shape) if a.needs_grad \
                 else None
@@ -303,11 +297,10 @@ class Tape:
                 else None
             return ga, gb
 
-        return self._record("mul", out, (a, b), backward)
+        return self._record("mul", a.data * b.data, (a, b), backward)
 
     def scale(self, a: Tensor, c: float, inplace: bool = False) -> Tensor:
-        out = Tensor(np.multiply(a.data, c, out=self._target(a, inplace, c)),
-                     _name("scale", a))
+        out = np.multiply(a.data, c, out=self._target(a, inplace, c))
 
         def backward(g):
             g *= c
@@ -317,33 +310,28 @@ class Tape:
 
     def transpose(self, a: Tensor) -> Tensor:
         """Swap the last two axes."""
-        out = Tensor(np.swapaxes(a.data, -1, -2), _name("transpose", a))
-
         def backward(g):
             return (np.swapaxes(g, -1, -2),)
 
-        return self._record("transpose", out, (a,), backward)
+        return self._record("transpose", np.swapaxes(a.data, -1, -2), (a,),
+                            backward)
 
     def reshape(self, a: Tensor, shape: tuple[int, ...]) -> Tensor:
-        out = Tensor(a.data.reshape(shape), _name("reshape", a))
-
         def backward(g):
             return (g.reshape(a.data.shape),)
 
-        return self._record("reshape", out, (a,), backward)
+        return self._record("reshape", a.data.reshape(shape), (a,), backward)
 
     def slice_last(self, a: Tensor, start: int, stop: int) -> Tensor:
-        out = Tensor(a.data[..., start:stop], _name("slice", a))
-
         def backward(g):
             ga = np.zeros_like(a.data)
             ga[..., start:stop] = g
             return (ga,)
 
-        return self._record("slice_last", out, (a,), backward)
+        return self._record("slice_last", a.data[..., start:stop], (a,),
+                            backward)
 
     def concat_last(self, parts: list[Tensor]) -> Tensor:
-        out = Tensor(np.concatenate([p.data for p in parts], axis=-1), "concat")
         widths = [p.data.shape[-1] for p in parts]
 
         def backward(g):
@@ -353,17 +341,18 @@ class Tape:
                 pos += w
             return tuple(grads)
 
-        return self._record("concat_last", out, tuple(parts), backward)
+        return self._record("concat_last",
+                            np.concatenate([p.data for p in parts], axis=-1),
+                            tuple(parts), backward)
 
     def relu(self, a: Tensor, inplace: bool = False) -> Tensor:
         y = np.maximum(a.data, 0.0, out=self._target(a, inplace))
-        out = Tensor(y, _name("relu", a))
 
         def backward(g):
             g *= y > 0          # y > 0 exactly where a > 0, NaN included
             return (g,)
 
-        return self._record("relu", out, (a,), backward)
+        return self._record("relu", y, (a,), backward)
 
     def softmax(self, a: Tensor, inplace: bool = False) -> Tensor:
         """Softmax over the last axis."""
@@ -371,14 +360,13 @@ class Tape:
                         out=self._target(a, inplace))
         np.exp(p, out=p)
         p /= _row_sum(p)
-        out = Tensor(p, _name("softmax", a))
 
         def backward(g):
             g -= _row_sum(g, p)
             g *= p
             return (g,)
 
-        return self._record("softmax", out, (a,), backward)
+        return self._record("softmax", p, (a,), backward)
 
     def layer_norm(self, a: Tensor, gain: Tensor, bias: Tensor,
                    eps: float = 1e-12) -> Tensor:
@@ -390,7 +378,6 @@ class Tape:
         centered = a.data - _row_sum(a.data) / n
         inv = 1.0 / np.sqrt(_row_sum(centered, centered) / n + eps)
         xhat = centered * inv
-        out = Tensor(xhat * gain.data + bias.data, _name("layer_norm", a))
 
         def backward(g):
             ggain = _unbroadcast(g * xhat, gain.data.shape) \
@@ -399,26 +386,23 @@ class Tape:
                 else None
             if not a.needs_grad:
                 return None, ggain, gbias
-            # a's gradient is built in g's array, unless g went to the bias
-            own = gbias is not g
-            gx_hat = np.multiply(g, gain.data, out=g if own else None)
-            mean, proj = _row_sum(gx_hat) / n, _row_sum(gx_hat, xhat) / n
-            if not own:
-                return inv * (gx_hat - mean - xhat * proj), ggain, gbias
-            gx_hat -= mean
-            gx_hat -= xhat * proj
-            gx_hat *= inv
-            return gx_hat, ggain, gbias
+            if gbias is g:      # a's gradient is built in g
+                gbias = g.copy()
+            g *= gain.data      # the gradient of xhat
+            mean, proj = _row_sum(g) / n, _row_sum(g, xhat) / n
+            g -= mean
+            g -= xhat * proj
+            g *= inv
+            return g, ggain, gbias
 
-        return self._record("layer_norm", out, (a, gain, bias), backward)
+        return self._record("layer_norm", xhat * gain.data + bias.data,
+                            (a, gain, bias), backward)
 
     def sum_all(self, a: Tensor) -> Tensor:
-        out = Tensor(a.data.sum(), _name("sum", a))
-
         def backward(g):
             return (np.broadcast_to(g, a.data.shape).copy(),)
 
-        return self._record("sum_all", out, (a,), backward)
+        return self._record("sum_all", a.data.sum(), (a,), backward)
 
     def cross_entropy(self, logits: Tensor, labels: np.ndarray) -> Tensor:
         """Mean softmax cross-entropy over a batch of logit rows.
@@ -432,7 +416,6 @@ class Tape:
         m = z.max(axis=-1, keepdims=True)
         lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=-1))
         picked = z[np.arange(z.shape[0]), labels]
-        out = Tensor((lse - picked).mean(), "cross_entropy")
         p = np.exp(z - lse[:, None])
 
         def backward(g):
@@ -441,7 +424,8 @@ class Tape:
             gz *= g / z.shape[0]
             return (gz,)
 
-        return self._record("cross_entropy", out, (logits,), backward)
+        return self._record("cross_entropy", (lse - picked).mean(),
+                            (logits,), backward)
 
     # ------------------------------------------------------------- backward
 

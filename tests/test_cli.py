@@ -478,6 +478,23 @@ def test_bad_synth_config_exit_code_2(tmp_path, override, named, capsys):
     assert not (tmp_path / "rec.json").exists()
 
 
+def test_synth_with_too_many_trials_exits_2_before_synthesis(
+        tmp_path, monkeypatch, capsys):
+    """3 x 10**7 one-sample trials pass both value caps but not the trial
+    cap, which refuses them before a trial is made."""
+    def never(spec):
+        raise AssertionError("synthesis began")
+    monkeypatch.setattr("amdet.data.synth_generate", never)
+    assert main(["synth", "--out", str(tmp_path / "rec"),
+                 *[word for field in ("channels=1", "trial_seconds=0.01",
+                                      "trials_per_class=10000000",
+                                      "planted=[]")
+                   for word in ("--set", field)]]) == 2
+    assert capsys.readouterr().err == (
+        "data error: synth: trials 30000000 is over the cap of 100000 "
+        "(n_classes=3, trials_per_class=10000000)\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["attribute", "--checkpoint", "m.amdw", "--features", "f", "--out", "a",
      "--topk", "x"],

@@ -49,21 +49,25 @@ def test_synth_class_balance():
 
 
 def test_synth_size_caps_refuse_a_spec_that_is_too_large(monkeypatch):
-    """A trial's values and the recording's come from the spec's fields
-    alone; a spec over either cap is a DataError that names the fields, at
-    the cap it passes. A finite rate can make a duration inf samples."""
+    """A trial's values, the recording's and the trial count come from the
+    spec's fields alone; a spec over any cap is a DataError that names the
+    fields, at the cap it passes. A finite rate can make a duration inf
+    samples."""
     from amdet import data
 
     spec = dict(baseline_seconds=1.0)           # 4 x (128 + 384) per trial
-    for cap, size, what in (("MAX_TRIAL_VALUES", 2048, "values per trial"),
-                            ("MAX_RECORDING_VALUES", 4 * 2048,
-                             "recording values")):
+    for cap, size, what, named in (
+            ("MAX_TRIAL_VALUES", 2048, "values per trial",
+             "baseline_seconds=1.0"),
+            ("MAX_RECORDING_VALUES", 4 * 2048, "recording values",
+             "baseline_seconds=1.0"),
+            ("MAX_TRIALS", 4, "trials", "n_classes=2, trials_per_class=2")):
         monkeypatch.setattr(data, cap, size)
         small_spec(**spec)
         monkeypatch.setattr(data, cap, size - 1)
         with pytest.raises(DataError, match=rf"synth: {what} {size} is over "
                                             rf"the cap of {size - 1} \(.*"
-                                            rf"baseline_seconds=1.0\)"):
+                                            rf"{named}\)"):
             small_spec(**spec)
         monkeypatch.undo()
     with pytest.raises(DataError, match="values per trial inf .*"

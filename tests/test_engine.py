@@ -465,6 +465,22 @@ def test_backward_leaves_every_forward_array_unchanged(rng, monkeypatch):
     assert len(passes) == 2 and passes[0] == 82
 
 
+def test_every_output_is_named_after_its_op(rng):
+    """Tape._record makes every op's output and names it after the op: a
+    model forward and its loss, then the two ops the model does not use."""
+    cfg = ModelConfig(channels=16, bands=4, frames=6, classes=3, seed=1)
+    x = rng.normal(size=(4, 6, 8, 16)).astype(np.float32)
+    tape = Tape()
+    logits, _ = forward(tape, wrap_params(init_params(cfg)), cfg, x)
+    tape.cross_entropy(logits, np.arange(4) % 3)
+    tape.sum_all(tape.mul(logits, logits))
+    ops = {name for name, value in vars(Tape).items() if callable(value)
+           and not name.startswith("_")} - {"backward", "matmul_flops"}
+    assert {node.op for node in tape.nodes} == ops
+    assert [node.out.name for node in tape.nodes] == \
+        [node.op for node in tape.nodes]
+
+
 def layer_norm_backward(a, gain, bias, g, eps=1e-12):
     """Reference: the out-of-place layer norm backward."""
     n = a.shape[-1]
@@ -505,8 +521,8 @@ DTYPE_IDS = ["f32", "f64", "f64_grad_to_f32"]
 def test_backward_written_into_g_has_the_out_of_place_bits(
         rng, op, forward_dtype, grad_dtype):
     """relu, softmax, scale and layer norm write their input's gradient
-    into g (not into g that layer norm also hands to its bias), with the
-    out-of-place formula's dtype and bytes."""
+    into g, with the out-of-place formula's dtype and bytes; a full-shape
+    bias gets a copy of g."""
     build, reference, shapes = OUT_OF_PLACE[op]
     arrays = [rng.normal(size=s).astype(forward_dtype) for s in shapes]
     tape = Tape()
@@ -516,7 +532,8 @@ def test_backward_written_into_g_has_the_out_of_place_bits(
     got = tape.nodes[-1].backward(g)
     for a, b in zip(got, want, strict=True):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    assert np.shares_memory(got[0], g) == (op != "layer_norm_full_bias")
+    assert np.shares_memory(got[0], g)
+    assert not any(np.shares_memory(gi, g) for gi in got[1:])
 
 
 @pytest.mark.parametrize("forward_dtype, grad_dtype", DTYPE_PAIRS,

@@ -1,7 +1,8 @@
 """Hostile fields. Model fields: `count` with every model field set to each
 value of VALUES, `eval` of a checkpoint whose manifest config holds each of
 them or lacks the field, and `count` of models whose encoder layers together
-keep too many activations. Inputs: every `--set` key of `synth` and
+keep too many activations. Training: `train` with every experiment and
+optimizer field set to each value. Inputs: every `--set` key of `synth` and
 `preprocess` set to each value, and every field of a recording (EEGR)
 manifest, read by `preprocess`, and of a feature (FEAT) manifest, read by
 `eval`, set to each value or left out; a list's fields are those of its
@@ -9,7 +10,8 @@ first entry. Each test runs its cases in one process whose address space is
 capped at 2 GiB, so that an allocation the size caps miss fails fast. Every
 case must exit 0-3 with the stderr prefix its exit code documents, and no
 exception may escape `cli.main`. Every case is run: the input cases, the
-largest set, take about 2 s together."""
+largest set, take about 2 s together, and the training cases about as
+long."""
 
 import copy
 import inspect
@@ -26,10 +28,14 @@ import amdet
 from amdet.checkpoint import save_checkpoint
 from amdet.data import (SynthSpec, default_synth_spec, synth_generate,
                         write_features, write_recording)
+from amdet.engine import OptimizerConfig
 from amdet.features import DEAP_BANDS, SampleTensor, extract_features
+from amdet.harness import ExperimentConfig
 from amdet.model import ModelConfig, init_params
 
 FIELDS = [f.name for f in fields(ModelConfig)]
+TRAIN_KEYS = [f.name for f in fields(ExperimentConfig)] + [
+    f"optimizer.{f.name}" for f in fields(OptimizerConfig)]
 SYNTH_KEYS = [f.name for f in fields(SynthSpec)]
 # cmd_preprocess reads these two; every other key is an extract_features
 # option
@@ -188,6 +194,26 @@ def test_hostile_inputs_exit_as_documented(tmp_path):
     results = _run(cases)
     assert _wrong(cases, results) == []
     assert {code for code, _ in results} == {0, 2}
+
+
+def test_hostile_train_fields_exit_as_documented(tmp_path):
+    """train on four samples in 2 folds of 1 epoch, with one experiment or
+    optimizer field set to each value. An epoch count that is merely large
+    is left out: it only makes the run long. A learning rate or weight decay
+    that makes training diverge once printed numpy's overflow warnings on
+    stderr before the numerical failure."""
+    _, feat = _model_and_features(tmp_path)
+    long_runs = {"100000", "1000000000000", str(2 ** 63)}
+    cases = [["train", "--features", str(feat),
+              "--out", str(tmp_path / f"run-{i}"), "--set", "epochs=1",
+              "--set", "folds=2", "--set", f"{key}={value}"]
+             for i, (key, value) in enumerate(
+                 (key, value) for key in TRAIN_KEYS for value in VALUES
+                 if key != "epochs" or value not in long_runs)]
+    assert len(cases) == 10 * 16 - 3
+    results = _run(cases)
+    assert _wrong(cases, results) == []
+    assert {code for code, _ in results} == {0, 2, 3}
 
 
 def test_deep_encoders_are_capped_by_the_activations_all_layers_keep():
