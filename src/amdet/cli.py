@@ -9,9 +9,6 @@ from the checkpoint, so they have no config options.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure; a
 stdout whose reader has gone away ends the process by SIGPIPE, as in cat.
-numpy's overflow and invalid-value warnings are off while a command runs: a
-non-finite loss, update or logit is a numerical failure where it is checked,
-and its message is the first line on stderr.
 """
 
 from __future__ import annotations
@@ -22,8 +19,6 @@ import numbers
 import signal
 import sys
 from dataclasses import asdict
-
-import numpy as np
 
 from . import attribution, data, features as feat, harness
 from .checkpoint import load_checkpoint
@@ -270,8 +265,7 @@ def cmd_count(args) -> int:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return args.run(args)
+        return args.run(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

@@ -521,6 +521,7 @@ class AdamW:
         self._grads, self._updates = views(self.grad), views(self._update)
         params.update(views(self.theta))
 
+    @np.errstate(over="ignore", invalid="ignore")   # inf or NaN, refused below
     def step(self, grads: dict[str, Array | None]) -> None:
         """Update theta; a gradient that is missing or None counts as zero."""
         for name, view in self._grads.items():

@@ -295,6 +295,7 @@ def classify(tape: Tape, p: dict[str, Tensor], x: Tensor) -> Tensor:
     return tape.add(tape.matmul(x, p["classifier.w"]), p["classifier.b"])
 
 
+@np.errstate(over="ignore", invalid="ignore")       # inf or NaN, refused below
 def forward(tape: Tape, p: dict[str, Tensor], cfg: ModelConfig,
             x: np.ndarray) -> tuple[Tensor, dict]:
     """Full forward pass on a (B, F, 2f, C) batch; returns (logits, aux).

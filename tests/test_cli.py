@@ -134,12 +134,11 @@ def test_usage_error_exit_code_1(capsys):
 
 
 def test_numerical_failure_exit_code_3(pipeline, capsys):
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["train", "--features", str(pipeline / "feat"),
-                     "--out", str(pipeline / "diverge"),
-                     "--set", "folds=2", "--set", "epochs=40",
-                     "--set", "optimizer.lr=1e18",
-                     "--set", "optimizer.batch_size=8"])
+    code = main(["train", "--features", str(pipeline / "feat"),
+                 "--out", str(pipeline / "diverge"),
+                 "--set", "folds=2", "--set", "epochs=40",
+                 "--set", "optimizer.lr=1e18",
+                 "--set", "optimizer.batch_size=8"])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
 

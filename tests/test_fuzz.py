@@ -200,8 +200,9 @@ def test_hostile_train_fields_exit_as_documented(tmp_path):
     """train on four samples in 2 folds of 1 epoch, with one experiment or
     optimizer field set to each value. An epoch count that is merely large
     is left out: it only makes the run long. A learning rate or weight decay
-    that makes training diverge once printed numpy's overflow warnings on
-    stderr before the numerical failure."""
+    that makes training diverge prints only its numerical failure: the
+    overflow in `AdamW.step` or in the forward pass that evaluates the fold
+    is refused by their own checks, with numpy's warning off there."""
     _, feat = _model_and_features(tmp_path)
     long_runs = {"100000", "1000000000000", str(2 ** 63)}
     cases = [["train", "--features", str(feat),

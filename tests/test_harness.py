@@ -155,11 +155,8 @@ def test_train_divergence_aborts_with_fold_diagnostic():
     fs = tiny_featureset()
     config = tiny_config(optimizer=OptimizerConfig(lr=1e18, batch_size=8),
                          epochs=40)
-    # the deliberate blow-up emits numpy overflow warnings on its way to
-    # the NumericalError; keep them out of the test log
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericalError, match="fold 0"):
-            train(config, fs)
+    with pytest.raises(NumericalError, match="fold 0"):
+        train(config, fs)
 
 
 def test_evaluate_confusion_rows():
