@@ -98,7 +98,6 @@ def write_channel_report(out_dir: str | Path, report: ChannelReport,
                          top_ks: list[int] = ()) -> None:
     """Emit channel_scores.csv and one topk_<k>.json per requested k."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rank_of = {ch: pos for pos, ch in enumerate(report.ranking)}
     scores = csv_text([["channel_name", "score", "rank"]] + [
         [name, f"{report.scores[ch]:.10g}", rank_of[ch]]

@@ -143,8 +143,9 @@ def build_parser() -> _Parser:
 
 
 def _experiment_config(args) -> harness.ExperimentConfig:
-    return harness.ExperimentConfig.from_dict(
-        dict(_load_config(args), out_dir=args.out))
+    """--config and --set; only --out sets out_dir: an out_dir key exits 2."""
+    return build("config", harness.ExperimentConfig, _load_config(args),
+                 getattr(args, "out", ""))
 
 
 def _print_report(report) -> None:
@@ -250,7 +251,7 @@ def cmd_reduce_channels(args) -> int:
 
 
 def cmd_count(args) -> int:
-    exp = harness.ExperimentConfig.from_dict(_load_config(args))
+    exp = _experiment_config(args)
     fs = data.read_features(args.features) if args.features else None
     model_cfg = exp.model_config(fs)
     print(json.dumps({

@@ -8,7 +8,8 @@ payload exists and holds whole, finite f32 values, before any data is used.
 Each writer refuses what its reader refuses before writing anything. Every
 output file, pairs and text artifacts alike, is written by `replace_files`
 through a temporary name and renamed over the old one, never overwritten in
-place. Recordings ("EEGR v1", channel-major) and feature files ("FEAT v1",
+place; it also creates any missing directory, so no writer makes one.
+Recordings ("EEGR v1", channel-major) and feature files ("FEAT v1",
 sample-major) are defined here, checkpoints in `checkpoint.py`. A recording
 is float32 in memory as on disk, so neither its writer nor its reader copies
 the samples; `write_features` stacks its samples once, straight into
@@ -31,7 +32,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -279,14 +280,15 @@ def _check_payload(path: Path, values: np.ndarray) -> None:
 
 
 def replace_files(*files: tuple[Path, str | bytes | memoryview]) -> None:
-    """Write each (path, content) to a temporary name beside its path, then
-    rename the temporaries over their paths in the order given, so no file
-    is ever half written; a str is written as UTF-8. If any write or rename
-    fails, the files not yet renamed keep their old contents and no
-    temporary is left."""
+    """Write each (path, content) to a temporary name beside its path, making
+    any missing parent directory first, then rename the temporaries over
+    their paths in the order given, so no file is ever half written; a str
+    is written as UTF-8. If any write or rename fails, the files not yet
+    renamed keep their old contents and no temporary is left."""
     temps = [path.with_name(path.name + ".tmp") for path, _ in files]
     try:
         for temp, (_, content) in zip(temps, files):
+            temp.parent.mkdir(parents=True, exist_ok=True)
             temp.write_bytes(content.encode() if isinstance(content, str)
                              else content)
         for temp, (path, _) in zip(temps, files):
@@ -316,7 +318,6 @@ def _write_pair(path: str | Path, manifest: dict, payload: np.ndarray) -> None:
     with np.errstate(over="ignore"):         # overflow is inf, refused below
         values = np.ascontiguousarray(payload, "<f4")
     _check_payload(payload_path, values)
-    manifest_path.parent.mkdir(parents=True, exist_ok=True)
     replace_files((payload_path, values.data), (manifest_path, text))
 
 
@@ -352,13 +353,8 @@ def write_recording(path: str | Path, rec: RawRecording) -> None:
         "sample_rate_hz": rec.sample_rate_hz,
         "channels": list(rec.channels),
         "dtype": "f32le",
-        "trials": [
-            {k: v for k, v in (
-                ("start", t.start), ("end", t.end), ("label", t.label),
-                ("baseline_start", t.baseline_start),
-                ("baseline_end", t.baseline_end)) if v is not None}
-            for t in rec.trials
-        ],
+        "trials": [{k: v for k, v in asdict(t).items() if v is not None}
+                   for t in rec.trials],
     }, rec.data)
 
 
@@ -444,8 +440,7 @@ def write_features(path: str | Path, samples: list[SampleTensor],
     stride = int(np.prod(shape)) * 4
     manifest = {
         "shape": list(shape),
-        "bands": [{"name": b.name, "lo_hz": b.lo_hz, "hi_hz": b.hi_hz}
-                  for b in bands],
+        "bands": [asdict(b) for b in bands],
         "samples": [{"offset": i * stride, "label": int(s.label),
                      "meta": s.meta} for i, s in enumerate(samples)],
     }

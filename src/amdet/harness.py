@@ -201,7 +201,7 @@ def train(config: ExperimentConfig, features: FeatureSet) -> RunReport:
     confusion = np.zeros((model_cfg0.classes, model_cfg0.classes),
                          dtype=np.int64)
     out_dir = Path(config.out_dir) if config.out_dir else None
-    if out_dir is not None:
+    if out_dir is not None:     # refuse an unusable out_dir before any fold
         out_dir.mkdir(parents=True, exist_ok=True)
     for fold, (train_idx, test_idx) in enumerate(splits):
         model_cfg = replace(model_cfg0, seed=config.seed + fold)
@@ -243,7 +243,6 @@ def train(config: ExperimentConfig, features: FeatureSet) -> RunReport:
 
 def write_report(out_dir: str | Path, report: RunReport) -> None:
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     losses = [[fold, epoch, f"{loss:.10g}"]
               for fold, curve in enumerate(report.loss_curves)
               for epoch, loss in enumerate(curve)]
@@ -255,11 +254,6 @@ def write_report(out_dir: str | Path, report: RunReport) -> None:
 def default_k_grid(channels: int) -> list[int]:
     """Channel counts from C downward in steps of K_GRID_STRIDE, down to 2."""
     return list(range(channels, 1, -K_GRID_STRIDE))
-
-
-def _heads_for(k: int, heads: int) -> int:
-    # retraining on k channels requires the head count to divide k
-    return gcd(k, heads) if k % heads else heads
 
 
 def reduce_channels_sweep(config: ExperimentConfig, features: FeatureSet,
@@ -275,7 +269,8 @@ def reduce_channels_sweep(config: ExperimentConfig, features: FeatureSet,
         sub = FeatureSet(reduced, features.labels, features.metas,
                          features.bands,
                          [features.channels[i] for i in ranking[:k]])
-        heads = _heads_for(k, base_cfg.spectral_heads)
+        # retraining on k channels requires the head count to divide k
+        heads = gcd(k, base_cfg.spectral_heads)
         sub_config = replace(
             config, out_dir=str(out_dir / f"k{k}") if out_dir else "",
             model={**config.model, "channels": k, "spectral_heads": heads})
@@ -283,7 +278,6 @@ def reduce_channels_sweep(config: ExperimentConfig, features: FeatureSet,
         rows.append({"k": k, "mean": report.mean_accuracy,
                      "std": report.std_accuracy})
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
         replace_files((out_dir / "sweep.csv", csv_text(
             [["k", "mean", "std"]]
             + [[row["k"], f"{row['mean']:.10g}", f"{row['std']:.10g}"]

@@ -266,6 +266,13 @@ def test_channel_report_csv_and_topk_round_trip(tmp_path):
     assert topk["indices"] == [1, 3]
 
 
+def test_channel_report_with_k_out_of_range_writes_nothing(tmp_path):
+    report = ChannelReport(np.array([0.3, 0.9]), [1, 0], {})
+    with pytest.raises(DataError, match="k=3 out of range 1..2"):
+        write_channel_report(tmp_path / "out", report, ["Fz", "Cz"], [1, 3])
+    assert not (tmp_path / "out").exists()
+
+
 def _ranking_file(ranks, header="channel_name,score,rank"):
     return "\n".join([header] + [f"ch{i},0.5,{r}" for i, r in
                                  enumerate(ranks)]) + "\n"

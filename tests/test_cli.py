@@ -335,6 +335,36 @@ def test_bad_config_field_exit_code_2(pipeline, override, named, capsys):
     assert not (pipeline / "badcfg").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "reduce-channels", "count"])
+@pytest.mark.parametrize("source", ["set", "config"])
+def test_out_dir_key_exits_2_and_writes_nothing(pipeline, command, source,
+                                                capsys):
+    """--out alone says where a run writes, so an out_dir key is refused
+    before anything is read or written; count, which has no --out, too."""
+    out = pipeline / f"outdir-{command}-{source}"
+    if source == "set":
+        given = ["--set", f'out_dir="{out}"']
+    else:
+        config = pipeline / f"outdir-{command}.json"
+        config.write_text(json.dumps({"out_dir": str(out)}))
+        given = ["--config", str(config)]
+    scores = pipeline / "scores_outdir.csv"
+    scores.write_text("channel_name,score,rank\n" + "".join(
+        f"ch{c:02d},{8 - c},{c}\n" for c in range(8)))
+    argv = {"train": ["--features", str(pipeline / "feat"), "--out",
+                      str(out)],
+            "reduce-channels": ["--features", str(pipeline / "feat"),
+                                "--scores", str(scores), "--out", str(out),
+                                "--ks", "4"],
+            "count": ["--features", str(pipeline / "feat")]}[command]
+    capsys.readouterr()
+    assert main([command, *argv, *given, "--set", "folds=2",
+                 "--set", "epochs=1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "out_dir" in err, err
+    assert not out.exists()
+
+
 def test_config_file_must_be_an_object(workdir, capsys):
     config = workdir / "list.json"
     config.write_text("[1, 2]")

@@ -10,10 +10,11 @@ import pytest
 
 from amdet.data import (FeatureSet, PlantedSignal, SynthSpec,
                         default_synth_spec, read_features, read_recording,
-                        synth_generate, write_features, write_recording)
+                        replace_files, synth_generate, write_features,
+                        write_recording)
 from amdet.errors import DataError
 from amdet.features import (DEAP_BANDS, BandSpec, RawRecording,
-                            SampleTensor, band_component, de,
+                            SampleTensor, Trial, band_component, de,
                             extract_features, segment)
 
 
@@ -289,6 +290,42 @@ def test_recording_missing_manifest(tmp_path):
         read_recording(tmp_path / "nope")
 
 
+def test_recording_trial_entries_keep_their_key_order(tmp_path):
+    """A trial entry lists its fields in Trial's order and leaves out a
+    baseline the trial does not have."""
+    rec = RawRecording(128.0, ["a", "b"], np.zeros((2, 10), np.float32),
+                       [Trial(0, 4, 0), Trial(6, 10, 1, 4, 6)])
+    write_recording(tmp_path / "rec", rec)
+    trials = json.loads((tmp_path / "rec.json").read_text())["trials"]
+    assert [list(t.items()) for t in trials] == [
+        [("start", 0), ("end", 4), ("label", 0)],
+        [("start", 6), ("end", 10), ("label", 1), ("baseline_start", 4),
+         ("baseline_end", 6)]]
+
+
+# ------------------------------------------------------------------ files
+
+
+def test_replace_files_makes_missing_directories(tmp_path):
+    deep = tmp_path / "a" / "b"
+    replace_files((deep / "x.f32", memoryview(b"1234")),
+                  (deep / "x.json", "{}"))
+    assert (deep / "x.f32").read_bytes() == b"1234"
+    assert (deep / "x.json").read_text() == "{}"
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_replace_files_that_cannot_make_a_directory_leaves_no_temporary(
+        tmp_path):
+    """The second file's directory cannot be made under a file; the first
+    file, already written to its temporary, is not renamed into place."""
+    (tmp_path / "file").write_text("")
+    with pytest.raises(OSError):
+        replace_files((tmp_path / "d" / "ok.txt", "x"),
+                      (tmp_path / "file" / "sub" / "y.txt", "y"))
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["d", "file"]
+
+
 # ----------------------------------------------------------- FEAT format
 
 
@@ -311,6 +348,10 @@ def test_features_round_trip(tmp_path):
     assert fs.metas[0]["trial"] == samples[0].meta["trial"]
     assert [b.name for b in fs.bands] == ["theta", "alpha"]
     assert fs.channels == channels
+    manifest = json.loads((tmp_path / "feat.json").read_text())
+    assert [list(b.items()) for b in manifest["bands"]] == [
+        [("name", "theta"), ("lo_hz", 4.0), ("hi_hz", 8.0)],
+        [("name", "alpha"), ("lo_hz", 8.0), ("hi_hz", 14.0)]]
 
 
 def test_features_second_round_trip_bitwise(tmp_path):

@@ -1,17 +1,18 @@
 """Hostile fields. Model fields: `count` with every model field set to each
 value of VALUES, `eval` of a checkpoint whose manifest config holds each of
 them or lacks the field, and `count` of models whose encoder layers together
-keep too many activations. Training: `train` with every experiment and
-optimizer field set to each value. Inputs: every `--set` key of `synth` and
-`preprocess` set to each value, and every field of a recording (EEGR)
-manifest, read by `preprocess`, and of a feature (FEAT) manifest, read by
-`eval`, set to each value or left out; a list's fields are those of its
-first entry. Each test runs its cases in one process whose address space is
-capped at 2 GiB, so that an allocation the size caps miss fails fast. Every
-case must exit 0-3 with the stderr prefix its exit code documents, and no
-exception may escape `cli.main`. Every case is run: the input cases, the
-largest set, take about 2 s together, and the training cases about as
-long."""
+keep too many activations. Training: `train` and `reduce-channels` with
+every experiment and optimizer field set to each value, and
+`reduce-channels` with hostile `--ks` lists and `--scores` files. Inputs:
+every `--set` key of `synth` and `preprocess` set to each value, and every
+field of a recording (EEGR) manifest, read by `preprocess`, and of a feature
+(FEAT) manifest, read by `eval`, set to each value or left out; a list's
+fields are those of its first entry. Each test runs its cases in one process
+whose address space is capped at 2 GiB, so that an allocation the size caps
+miss fails fast. Every case must exit 0-3 with the stderr prefix its exit
+code documents, and no exception may escape `cli.main`. Every case is run:
+the input cases, the largest set, take about 2 s together, and each set of
+training cases about as long."""
 
 import copy
 import inspect
@@ -215,6 +216,65 @@ def test_hostile_train_fields_exit_as_documented(tmp_path):
     results = _run(cases)
     assert _wrong(cases, results) == []
     assert {code for code, _ in results} == {0, 2, 3}
+
+
+# --ks lists as typed: not integers, not >= 1, above the 4 channels, or
+# integers int() reads in unusual spellings
+HOSTILE_KS = ["", "x", "0", "-1", "1.5", "4,-4", "2,,3", ",", "1e3", "1_0",
+              "5", "100000", str(2 ** 63), " 2", "\u0663", "4,4", "1",
+              "1,2,3,4"]
+# channel_scores.csv bodies after the header line, for 4 channels
+RANK_ROWS = {"ranked": "0123", "fewer": "012", "more": "01234",
+             "repeated": "0013", "non_integer": "01x3"}
+
+
+def _scores_files(tmp_path) -> dict[str, Path]:
+    """Ranking files by name: one per RANK_ROWS entry ("ranked" ranks the
+    four channels), empty, a header alone, a float, huge or negative rank,
+    no rank column, bytes that are not UTF-8, a directory and a file that
+    is not there."""
+    header = "channel_name,score,rank\n"
+    texts = {"empty": b"", "header": header.encode(),
+             "no_rank": b"channel_name,score\nc0,1\n",
+             "not_utf8": header.encode() + b"c0,1,\xff\n"}
+    texts |= {name: (header + "".join(f"c{i},0.5,{r}\n" for i, r in
+                                      enumerate(ranks))).encode()
+              for name, ranks in RANK_ROWS.items()}
+    texts |= {name: (header + f"c0,1,{rank}\nc1,1,1\nc2,1,2\nc3,1,3\n"
+                     ).encode()
+              for name, rank in (("float", "0.0"), ("huge", str(2 ** 63)),
+                                 ("negative", "-1"))}
+    for name, text in texts.items():
+        (tmp_path / f"{name}.csv").write_bytes(text)
+    (tmp_path / "dir.csv").mkdir()
+    return {name: tmp_path / f"{name}.csv"
+            for name in [*texts, "dir", "missing"]}
+
+
+def test_hostile_reduce_channels_exits_as_documented(tmp_path):
+    """reduce-channels on four samples in 2 folds of 1 epoch at k=3, with
+    one experiment or optimizer field set to each value as for train, with
+    each hostile --ks list, and with each hostile --scores file."""
+    _, feat = _model_and_features(tmp_path)
+    scores = _scores_files(tmp_path)
+    ranked = scores.pop("ranked")
+    long_runs = {"100000", "1000000000000", str(2 ** 63)}
+
+    def case(i, *words, ks="3", ranking=ranked):
+        return ["reduce-channels", "--features", str(feat), "--scores",
+                str(ranking), "--out", str(tmp_path / f"sweep-{i}"),
+                "--ks", ks, "--set", "epochs=1", "--set", "folds=2", *words]
+    cases = [case(i, "--set", f"{key}={value}")
+             for i, (key, value) in enumerate(
+                 (key, value) for key in TRAIN_KEYS for value in VALUES
+                 if key != "epochs" or value not in long_runs)]
+    cases += [case(f"ks-{i}", ks=ks) for i, ks in enumerate(HOSTILE_KS)]
+    cases += [case(f"scores-{i}", ranking=path)
+              for i, path in enumerate(scores.values())]
+    assert len(cases) == (10 * 16 - 3) + 18 + 13
+    results = _run(cases)
+    assert _wrong(cases, results) == []
+    assert {code for code, _ in results} == {0, 1, 2, 3}
 
 
 def test_deep_encoders_are_capped_by_the_activations_all_layers_keep():

@@ -83,3 +83,67 @@ def test_unread_private_names_finds_a_helper_nothing_calls():
         "b": "from .a import _PAIR\n\ndef __getattr__(name):\n    pass\n",
     }
     assert unread_private_names(sources) == ["a._OLD", "a._resolved"]
+
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    """Whether call writes a file: ``write_bytes``, ``write_text``,
+    ``tofile``, ``os.replace``, ``np.save*`` (or ``numpy.save*``), or an
+    ``open`` (builtin or method) whose mode writes or is not a literal."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        name, mode_at = func.id, 1          # open(path, mode)
+    elif isinstance(func, ast.Attribute):
+        name, mode_at = func.attr, 0        # path.open(mode)
+        owner = getattr(func.value, "id", None)
+        if (name in ("write_bytes", "write_text", "tofile")
+                or (owner == "os" and name == "replace")
+                or (owner in ("np", "numpy") and name.startswith("save"))):
+            return True
+    else:
+        return False
+    modes = call.args[mode_at:mode_at + 1] + [
+        kw.value for kw in call.keywords if kw.arg == "mode"]
+    return name == "open" and any(
+        not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+")
+        for m in modes)
+
+
+def file_writes(sources: dict[str, str]) -> list[tuple[str, int]]:
+    """(module, line) of every call in sources (module -> source) that
+    writes a file, outside ``replace_files`` in module ``data``, sorted."""
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        allowed = {id(node) for fn in tree.body
+                   if module == "data" and isinstance(fn, ast.FunctionDef)
+                   and fn.name == "replace_files" for node in ast.walk(fn)}
+        found += [(module, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in allowed
+                  and _writes_a_file(node)]
+    return sorted(found)
+
+
+def test_only_replace_files_writes_files():
+    """Every artifact is written to a temporary and renamed into place; a
+    write anywhere else could leave a half-written file."""
+    package = Path(amdet.__file__).parent
+    assert file_writes({p.stem: p.read_text() for p in
+                        sorted(package.glob("*.py"))}) == []
+
+
+def test_file_writes_finds_each_kind_of_write():
+    writes = ("p.write_bytes(b)\np.write_text(s)\na.tofile(f)\n"
+              "os.replace(a, b)\nnp.save(f, a)\nnumpy.savez(f, a=a)\n"
+              "open(f, 'w')\nopen(f, mode='ab')\np.open('r+')\n"
+              "open(f, mode)\n")
+    reads = ("open(f)\nopen(f, 'rb')\np.open()\np.open(mode='r')\n"
+             "s.replace('a', 'b')\nnp.load(f)\np.read_bytes()\n")
+    sources = {
+        "data": ("def replace_files(p, b):\n    p.write_bytes(b)\n"
+                 "    os.replace(p, p)\n\n\ndef other(p, b):\n"
+                 "    p.write_bytes(b)\n"),
+        "a": writes + reads,
+    }
+    assert file_writes(sources) == [("a", line) for line in range(1, 11)] + [
+        ("data", 7)]
