@@ -114,9 +114,10 @@ def write_channel_report(out_dir: str | Path, report: ChannelReport,
     replace_files((out / "channel_scores.csv", scores), *top)
 
 
-def read_ranking_csv(path: str | Path) -> list[int]:
-    """Recover the full channel ranking from a channel_scores.csv file, whose
-    rank column holds each of 0..n-1 exactly once."""
+def read_ranking_csv(path: str | Path, channels: int) -> list[int]:
+    """Recover the full ranking of a feature file's channels from a
+    channel_scores.csv file, whose rank column must hold each of
+    0..channels-1 exactly once."""
     text = read_bytes(path, "ranking file").decode("utf-8", "replace")
     ranks = [row.get("rank") for row in csv.DictReader(text.splitlines(True))]
     if not ranks:
@@ -125,7 +126,8 @@ def read_ranking_csv(path: str | Path) -> list[int]:
         ranks = [int(rank) for rank in ranks]
     except (TypeError, ValueError):
         raise DataError(f"{path}: every row needs an integer rank") from None
-    if sorted(ranks) != list(range(len(ranks))):
-        raise DataError(f"{path}: ranks are not each of 0..{len(ranks) - 1} "
+    if sorted(ranks) != list(range(channels)):
+        raise DataError(f"{path}: {len(ranks)} ranks for {channels} "
+                        f"channels; they must be each of 0..{channels - 1} "
                         f"exactly once")
     return np.argsort(ranks).tolist()          # the channel at each rank

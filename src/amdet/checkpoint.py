@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import _read_pair, _write_pair
-from .errors import DataError
+from .errors import DataError, build
 from .model import ModelConfig, param_shapes
 
 
@@ -63,7 +63,7 @@ def load_checkpoint(path: str | Path
     """
     manifest, payload = _read_pair(path, "checkpoint", params=list)
     try:
-        config = ModelConfig.from_dict(manifest.get("config"))
+        config = build("model config", ModelConfig, manifest.get("config"))
     except DataError as e:          # a field's type or value, or a size cap
         raise DataError(f"{path}: {e}") from e
     extra = manifest.get("extra", {})

@@ -158,8 +158,8 @@ def _print_report(report) -> None:
 
 
 def cmd_synth(args) -> int:
-    spec = data.SynthSpec.from_dict({**asdict(data.default_synth_spec()),
-                                     **_load_config(args)})
+    spec = build("synth spec", data.SynthSpec,
+                 {**asdict(data.default_synth_spec()), **_load_config(args)})
     rec = data.synth_generate(spec)
     data.write_recording(args.out, rec)
     n = len(rec.trials)
@@ -242,7 +242,7 @@ def cmd_reduce_channels(args) -> int:
     fs = data.read_features(args.features)
     ks = args.ks or harness.default_k_grid(fs.values.shape[-1])
     _check_ks(ks, fs.values.shape[-1])
-    ranking = attribution.read_ranking_csv(args.scores)
+    ranking = attribution.read_ranking_csv(args.scores, fs.values.shape[-1])
     rows = harness.reduce_channels_sweep(config, fs, ranking, ks)
     for row in rows:
         print(f"k={row['k']:>3d}  accuracy {row['mean']:.4f} "

@@ -141,10 +141,6 @@ class SynthSpec:
                     f"synth: planted hi_hz {sig.hi_hz} exceeds Nyquist "
                     f"{nyquist} Hz")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SynthSpec":
-        return build("synth spec", cls, d)
-
 
 def default_synth_spec(**overrides) -> SynthSpec:
     """Three classes told apart by which band is active on channels 0-2;
@@ -227,12 +223,8 @@ def synth_generate(spec: SynthSpec) -> RawRecording:
             for ch in sig.channels:
                 block[ch, base_len:] += wave
         data[:, cursor:cursor + span] = block
-        if base_len > 0:
-            trials.append(Trial(start=cursor + base_len, end=cursor + span,
-                                label=label, baseline_start=cursor,
-                                baseline_end=cursor + base_len))
-        else:
-            trials.append(Trial(start=cursor, end=cursor + span, label=label))
+        baseline = (cursor, cursor + base_len) if base_len else (None, None)
+        trials.append(Trial(cursor + base_len, cursor + span, label, *baseline))
         cursor += span
     channels = [f"ch{i:02d}" for i in range(spec.channels)]
     return RawRecording(fs, channels, data, trials)
@@ -370,10 +362,7 @@ def read_recording(path: str | Path) -> RawRecording:
         raise DataError(f"{path}: {len(channels)} channels cannot split a "
                         f"payload of {payload.size} values")
     try:
-        trials = [Trial(start=t["start"], end=t["end"], label=t["label"],
-                        baseline_start=t.get("baseline_start"),
-                        baseline_end=t.get("baseline_end"))
-                  for t in manifest["trials"]]
+        trials = [build("trial", Trial, t) for t in manifest["trials"]]
         data = payload.reshape(len(channels), -1)
         return RawRecording(manifest["sample_rate_hz"], channels, data, trials)
     except (KeyError, TypeError, ValueError) as e:
@@ -477,8 +466,7 @@ def read_features(path: str | Path) -> FeatureSet:
             check_numbers(f"sample {i}", numbers.Integral, label=entry["label"])
             labels[i] = entry["label"]
             metas.append(dict(entry.get("meta", {})))
-        bands = [BandSpec(b["name"], b["lo_hz"], b["hi_hz"])
-                 for b in manifest.get("bands", [])]
+        bands = [build("band", BandSpec, b) for b in manifest.get("bands", [])]
         return FeatureSet(payload.reshape((len(entries), *shape)), labels,
                           metas, bands, manifest.get("channels"))
     except (KeyError, TypeError, ValueError, OverflowError) as e:

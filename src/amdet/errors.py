@@ -8,7 +8,9 @@ also requires the number finite; `check_labels` checks that labels are a 1-D
 integer array of class indices. Rules that relate two fields (lo < hi, a head
 count that divides a width, Nyquist) stay with the class that holds both, and
 so do size caps computed from several fields; `check_cap` words their error.
-`build` is the one route from a JSON mapping to a config object.
+`build` is the one route from a JSON mapping to a record: config files,
+`--set` overrides, checkpoint configs, and a manifest's trial and band
+entries.
 """
 
 import inspect

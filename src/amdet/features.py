@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -329,10 +329,8 @@ def binarize_labels(rec: RawRecording, threshold: float = 5.0) -> RawRecording:
     Mirrors the usual handling of 1-9 self-assessment ratings.
     """
     check_numbers("preprocess", numbers.Real, binarize_threshold=threshold)
-    trials = [Trial(t.start, t.end, int(t.label > threshold),
-                    t.baseline_start, t.baseline_end) for t in rec.trials]
-    return RawRecording(rec.sample_rate_hz, list(rec.channels), rec.data,
-                        trials)
+    return replace(rec, trials=[replace(t, label=int(t.label > threshold))
+                                for t in rec.trials])
 
 
 def extract_features(rec: RawRecording,

@@ -56,10 +56,6 @@ class ExperimentConfig:
             raise DataError(f"config: split_mode must be one of "
                             f"{SPLIT_MODES}, got {self.split_mode!r}")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        return build("config", cls, d)
-
     def model_config(self, features: FeatureSet | None = None) -> ModelConfig:
         """Resolve the model shape from the feature file plus overrides,
         seeded with the experiment seed."""
@@ -70,7 +66,7 @@ class ExperimentConfig:
             resolved.setdefault("bands", feat // 2)
             resolved.setdefault("frames", frames)
             resolved.setdefault("classes", features.n_classes)
-        return ModelConfig.from_dict(resolved)
+        return build("model config", ModelConfig, resolved)
 
 
 @dataclass
@@ -209,9 +205,9 @@ def train(config: ExperimentConfig, features: FeatureSet) -> RunReport:
             params, losses = fit(x[train_idx], y[train_idx], model_cfg,
                                  config.optimizer, config.epochs,
                                  shuffle_seed=config.seed + fold)
+            acc, conf = evaluate(params, model_cfg, x[test_idx], y[test_idx])
         except NumericalError as e:
             raise NumericalError(f"fold {fold}: {e}") from e
-        acc, conf = evaluate(params, model_cfg, x[test_idx], y[test_idx])
         fold_accs.append(acc)
         curves.append(losses)
         confusion += conf
@@ -265,16 +261,18 @@ def reduce_channels_sweep(config: ExperimentConfig, features: FeatureSet,
     out_dir = Path(config.out_dir) if config.out_dir else None
     base_cfg = config.model_config(features)
     for k in ks:
-        reduced = select_channels(features.values, ranking, k)
-        sub = FeatureSet(reduced, features.labels, features.metas,
-                         features.bands,
-                         [features.channels[i] for i in ranking[:k]])
+        sub = replace(features,
+                      values=select_channels(features.values, ranking, k),
+                      channels=[features.channels[i] for i in ranking[:k]])
         # retraining on k channels requires the head count to divide k
         heads = gcd(k, base_cfg.spectral_heads)
         sub_config = replace(
             config, out_dir=str(out_dir / f"k{k}") if out_dir else "",
             model={**config.model, "channels": k, "spectral_heads": heads})
-        report = train(sub_config, sub)
+        try:
+            report = train(sub_config, sub)
+        except NumericalError as e:
+            raise NumericalError(f"k={k}: {e}") from e
         rows.append({"k": k, "mean": report.mean_accuracy,
                      "std": report.std_accuracy})
     if out_dir is not None:

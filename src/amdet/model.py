@@ -27,8 +27,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .engine import Tape, Tensor
-from .errors import (DataError, NumericalError, build, check_cap,
-                     check_numbers)
+from .errors import DataError, NumericalError, check_cap, check_numbers
 
 ABLATABLE_BLOCKS = ("spectral", "spatial", "temporal")
 # samples per forward when not training (predict, Grad-CAM): the default
@@ -94,10 +93,6 @@ class ModelConfig:
     @property
     def flat_dim(self) -> int:
         return self.feature_dim * self.channels
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return build("model config", cls, d)
 
 
 def _rng_for(seed: int, name: str) -> np.random.Generator:
@@ -230,11 +225,9 @@ def encoder_layer(tape: Tape, p: dict[str, Tensor], prefix: str, x: Tensor,
 
 def _check_input(cfg: ModelConfig, x: np.ndarray, weights) -> np.ndarray:
     x = np.asarray(x, dtype=np.result_type(*{w.dtype for w in weights}))
-    if x.ndim == 3:
-        x = x[None]
     if x.ndim != 4 or x.shape[1:] != (cfg.frames, cfg.feature_dim, cfg.channels):
         raise DataError(
-            f"expected samples shaped ({cfg.frames}, {cfg.feature_dim}, "
+            f"expected a batch shaped (N, {cfg.frames}, {cfg.feature_dim}, "
             f"{cfg.channels}), got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise NumericalError("non-finite model input")

@@ -258,7 +258,7 @@ def test_channel_report_csv_and_topk_round_trip(tmp_path):
     report = ChannelReport(scores, ranking, {"n_samples": 7})
     names = ["Fz", "Cz", "Pz", "Oz"]
     write_channel_report(tmp_path, report, names, top_ks=[2])
-    back = read_ranking_csv(tmp_path / "channel_scores.csv")
+    back = read_ranking_csv(tmp_path / "channel_scores.csv", 4)
     assert back == ranking
     import json
     topk = json.loads((tmp_path / "topk_2.json").read_text())
@@ -289,4 +289,16 @@ def test_read_ranking_rejects_bad_rank(tmp_path, text):
     path = tmp_path / "channel_scores.csv"
     path.write_text(text)
     with pytest.raises(DataError, match="channel_scores.csv"):
-        read_ranking_csv(path)
+        read_ranking_csv(path, text.count("\n") - 1)
+
+
+@pytest.mark.parametrize("ranks", [[0, 1, 2], [0, 1, 2, 3, 4]],
+                         ids=["fewer", "more"])
+def test_read_ranking_must_rank_every_channel_once(tmp_path, ranks):
+    """A ranking of 0..n-1 for n other than the features' 4 channels names
+    the file and both counts."""
+    path = tmp_path / "channel_scores.csv"
+    path.write_text(_ranking_file(ranks))
+    with pytest.raises(DataError, match=rf"channel_scores.csv: {len(ranks)} "
+                                        r"ranks for 4 channels; .* 0\.\.3 "):
+        read_ranking_csv(path, 4)

@@ -602,7 +602,8 @@ def test_reduce_channels_k_above_channel_count_fails_before_training(
 def test_reduce_channels_short_ranking_fails_before_training(
         pipeline, monkeypatch, capsys):
     """A scores file ranking 7 of the features' 8 channels is not a
-    permutation of them; select_channels refuses it before any fold fits."""
+    permutation of them; read_ranking_csv refuses it before any fold
+    fits."""
     monkeypatch.setattr("amdet.harness.fit", _never)
     scores = pipeline / "scores_short.csv"
     scores.write_text("channel_name,score,rank\n" + "".join(
@@ -611,9 +612,56 @@ def test_reduce_channels_short_ranking_fails_before_training(
     assert main(["reduce-channels", "--features", str(pipeline / "feat"),
                  "--scores", str(scores), "--out", str(out),
                  "--ks", "4"]) == 2
-    assert "ranking must be a permutation of all channel indices" in \
+    assert "scores_short.csv: 7 ranks for 8 channels" in \
         capsys.readouterr().err
     assert not out.exists()
+
+
+def test_reduce_channels_divergence_names_its_k_and_fold(pipeline, capsys):
+    scores = pipeline / "scores_diverge.csv"
+    scores.write_text("channel_name,score,rank\n" + "".join(
+        f"ch{c:02d},{8 - c},{c}\n" for c in range(8)))
+    capsys.readouterr()
+    assert main(["reduce-channels", "--features", str(pipeline / "feat"),
+                 "--scores", str(scores), "--out",
+                 str(pipeline / "sweep_diverge"), "--ks", "3",
+                 "--set", "folds=2", "--set", "epochs=1",
+                 "--set", "optimizer.lr=1000000000000"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: k=3: fold "), err
+
+
+@pytest.mark.parametrize("command, entries, edit, named", [
+    ("preprocess", "trials", {"subject": 3},
+     "trial: got an unexpected keyword argument 'subject'"),
+    ("preprocess", "trials", {"start": None},
+     "trial: missing a required argument: 'start'"),
+    ("count", "bands", {"unit": "Hz"},
+     "band: got an unexpected keyword argument 'unit'"),
+    ("count", "bands", {"lo_hz": None},
+     "band: missing a required argument: 'lo_hz'"),
+], ids=["trial-unknown", "trial-missing", "band-unknown", "band-missing"])
+def test_manifest_entry_key_errors_exit_2_naming_the_key(
+        pipeline, capsys, command, entries, edit, named):
+    """A trial or band entry with a key its record lacks, or without one
+    it needs (None marks a key left out), is a data error naming the key."""
+    base = {"preprocess": "rec", "count": "feat"}[command]
+    manifest = json.loads((pipeline / f"{base}.json").read_text())
+    entry = manifest[entries][0]
+    entry.update(edit)
+    manifest[entries][0] = {k: v for k, v in entry.items() if v is not None}
+    edited = pipeline / f"{base}-{entries}-keys"
+    edited.with_suffix(".json").write_text(json.dumps(manifest))
+    edited.with_suffix(".f32").write_bytes(
+        (pipeline / f"{base}.f32").read_bytes())
+    argv = {"preprocess": ["--recording", str(edited), "--out",
+                           str(pipeline / "keys-feat")],
+            "count": ["--features", str(edited)]}[command]
+    capsys.readouterr()
+    assert main([command, *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {edited}: {named}"), err
+    assert not (pipeline / "keys-feat.json").exists()
 
 
 def test_closed_stdout_ends_count_by_sigpipe():

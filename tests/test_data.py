@@ -12,7 +12,7 @@ from amdet.data import (FeatureSet, PlantedSignal, SynthSpec,
                         default_synth_spec, read_features, read_recording,
                         replace_files, synth_generate, write_features,
                         write_recording)
-from amdet.errors import DataError
+from amdet.errors import DataError, build
 from amdet.features import (DEAP_BANDS, BandSpec, RawRecording,
                             SampleTensor, Trial, band_component, de,
                             extract_features, segment)
@@ -166,7 +166,8 @@ def test_synth_spec_validation():
 
 def test_synth_spec_json_round_trip():
     spec = default_synth_spec(seed=9)
-    again = SynthSpec.from_dict(json.loads(json.dumps(asdict(spec))))
+    again = build("synth spec", SynthSpec,
+                  json.loads(json.dumps(asdict(spec))))
     assert again == spec
 
 

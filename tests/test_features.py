@@ -489,6 +489,20 @@ def test_binarize_labels_threshold_five():
     assert [t.label for t in rec.trials] == [1, 4, 5, 6, 8, 9]
 
 
+def test_binarize_labels_changes_only_the_labels():
+    """Trials keep their bounds and baselines, field for field, and the
+    recording its rate, channels and data."""
+    from amdet.features import binarize_labels
+    data = np.zeros((2, 30), np.float32)
+    rec = RawRecording(128.0, ["a", "b"], data,
+                       [Trial(0, 10, 7.5), Trial(14, 30, 2.0, 10, 14)])
+    out = binarize_labels(rec, 5.0)
+    assert out.trials == [Trial(0, 10, 1), Trial(14, 30, 0, 10, 14)]
+    assert [type(t.label) for t in out.trials] == [int, int]
+    assert (out.sample_rate_hz, out.channels) == (128.0, ["a", "b"])
+    assert out.data is data
+
+
 def test_recording_validation():
     with pytest.raises(DataError):
         RawRecording(200.0, ["a", "a"], np.zeros((2, 10)), [])

@@ -12,7 +12,7 @@ import pytest
 from amdet.data import (FeatureSet, SynthSpec, default_synth_spec,
                         synth_generate)
 from amdet.engine import OptimizerConfig
-from amdet.errors import DataError, NumericalError
+from amdet.errors import DataError, NumericalError, build
 from amdet import harness
 from amdet.harness import (ExperimentConfig, default_k_grid, evaluate, fit,
                            kfold_split, reduce_channels_sweep, train)
@@ -159,6 +159,14 @@ def test_train_divergence_aborts_with_fold_diagnostic():
         train(config, fs)
 
 
+def test_a_numerical_failure_in_evaluate_names_its_fold(monkeypatch):
+    def diverged(*args):
+        raise NumericalError("non-finite logits")
+    monkeypatch.setattr(harness, "evaluate", diverged)
+    with pytest.raises(NumericalError, match="^fold 0: non-finite logits$"):
+        train(tiny_config(epochs=1), tiny_featureset())
+
+
 def test_evaluate_confusion_rows():
     fs = tiny_featureset()
     config = tiny_config()
@@ -231,8 +239,8 @@ def test_unknown_ablate_in_config_rejected_before_training(monkeypatch):
     def no_fit(*args, **kwargs):
         raise AssertionError("a fold trained before the block was checked")
     monkeypatch.setattr(harness, "fit", no_fit)
-    config = ExperimentConfig.from_dict({"folds": 2,
-                                         "model": {"ablate": "classifier"}})
+    config = build("config", ExperimentConfig,
+                   {"folds": 2, "model": {"ablate": "classifier"}})
     with pytest.raises(DataError, match="classifier"):
         train(config, tiny_featureset())
 
@@ -310,13 +318,33 @@ def test_reduce_channels_sweep_adjusts_heads_for_odd_k(tmp_path):
     assert rows[0]["k"] == 3     # spectral heads fall back to 1 internally
 
 
+def test_reduce_channels_sweep_trains_on_the_top_k_channels(monkeypatch):
+    """Each k trains on the values of the top k ranked channels under
+    their own names, with the set's labels, metas and bands."""
+    fs = tiny_featureset()
+    ranking = [5, 2, 7, 0, 1, 3, 4, 6]
+    trained = []
+
+    def record(config, features):
+        trained.append((config.model["channels"], features))
+        return train(replace(config, epochs=1), features)
+    monkeypatch.setattr(harness, "train", record)
+    reduce_channels_sweep(tiny_config(), fs, ranking, [8, 3])
+    assert [k for k, _ in trained] == [8, 3]
+    for k, sub in trained:
+        assert sub.channels == [f"ch{i:02d}" for i in ranking[:k]]
+        np.testing.assert_array_equal(sub.values, fs.values[..., ranking[:k]])
+        np.testing.assert_array_equal(sub.labels, fs.labels)
+        assert sub.metas == fs.metas and sub.bands == fs.bands
+
+
 # ------------------------------------------------------------------ config
 
 
 def test_experiment_config_round_trip():
     config = tiny_config(split_mode="trial", epochs=7)
-    again = ExperimentConfig.from_dict(
-        json.loads(json.dumps(asdict(config))))
+    again = build("config", ExperimentConfig,
+                  json.loads(json.dumps(asdict(config))))
     assert again == config
 
 
@@ -325,7 +353,7 @@ def test_readme_experiment_config_example_builds():
     block = re.search(r"### Experiment config.*?```json\n(.*?)```", readme,
                       re.DOTALL).group(1)
     example = json.loads(re.sub(r"//[^\n]*", "", block))
-    config = ExperimentConfig.from_dict(example)
+    config = build("config", ExperimentConfig, example)
     config.model.update(channels=4, bands=2, frames=6, classes=3)
     config.model_config()       # every model key is a ModelConfig field
 
@@ -333,8 +361,10 @@ def test_readme_experiment_config_example_builds():
 @pytest.mark.parametrize("cls", [ExperimentConfig, ModelConfig, SynthSpec])
 @pytest.mark.parametrize("given", [[1], "x", None])
 def test_config_from_a_non_mapping_is_a_data_error(cls, given):
-    with pytest.raises(DataError, match="must be a mapping"):
-        cls.from_dict(given)
+    owner = {ExperimentConfig: "config", ModelConfig: "model config",
+             SynthSpec: "synth spec"}[cls]
+    with pytest.raises(DataError, match=f"{owner} must be a mapping"):
+        build(owner, cls, given)
 
 
 def test_experiment_config_validation():

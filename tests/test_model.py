@@ -357,6 +357,12 @@ def test_forward_rejects_wrong_shape(rng):
         forward(Tape(), p, TOY, rng.normal(size=(1, 6, 4, 5)))
 
 
+def test_predict_refuses_a_single_unbatched_sample(rng):
+    with pytest.raises(DataError, match=r"expected a batch shaped \(N, 6, "
+                                        r"4, 4\), got \(6, 4, 4\)"):
+        predict(init_params(TOY), TOY, rng.normal(size=(6, 4, 4)))
+
+
 def test_forward_rejects_unknown_ablation(rng):
     p = toy_tensors()
     with pytest.raises(DataError):
